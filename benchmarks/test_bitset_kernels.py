@@ -1,16 +1,15 @@
-"""Bit-set kernel and compression benchmarks (PR 9 acceptance).
+"""Bit-set kernel and compression benchmarks.
 
 Four measurements, each with a machine-readable point when
 ``REPRO_BENCH_JSON_DIR`` is set (the CI bench-regression job diffs
 these against the previous nightly's artifacts):
 
-* **support_adaptive** — the adaptive ``OccurrenceStore.support_count``
+* **support_adaptive** — the adaptive ``OccurrenceColumns.support_count``
   kernel (O(popcount) bit-walk on sparse candidate sets) against the
-  legacy full mask scan (O(#graphs)).  The specialize phase is mostly
-  this kernel, so the speedup here is the specialize-phase reduction
-  claimed by the PR; the gate asserts >= 3x (typically far more).
-* **intersection_count** — the container-aware counting kernel against
-  materializing the intersection and taking its length.
+  full mask scan (O(#graphs)).  The specialize phase is mostly this
+  kernel; the gate asserts >= 3x (typically far more).
+* **intersection_count** — AND + popcount without building a result
+  set, against materializing the intersection and taking its length.
 * **store_compression** — the fig 4.2-family store, persisted raw and
   zlib-compressed; records both byte totals and asserts compression
   actually saves space.
@@ -30,7 +29,7 @@ from benchmarks._common import (
     print_row,
     record_bench_point,
 )
-from repro.core.occurrence_index import OccurrenceStore
+from repro.core.occurrence_index import OccurrenceColumns
 from repro.core.taxogram import Taxogram, TaxogramOptions
 from repro.mining.dfs_code import (
     canonical_cache_info,
@@ -61,35 +60,35 @@ class _KernelPoint:
         return dict(self._gauges)
 
 
-def _full_scan_support(store: OccurrenceStore, bits: int) -> int:
-    """The pre-PR 9 kernel: unconditionally scan every graph mask."""
+def _full_scan_support(columns: OccurrenceColumns, bits: int) -> int:
+    """The reference kernel: unconditionally scan every graph mask."""
     return sum(
-        1 for mask in store._graph_masks.values() if mask & bits
+        1 for mask in columns._graph_masks.values() if mask & bits
     )
 
 
 def test_adaptive_support_kernel():
     rng = random.Random(42)
     n_graphs = 4000
-    store = OccurrenceStore()
+    columns = OccurrenceColumns()
     for gid in range(n_graphs):
         for _ in range(rng.randint(1, 3)):
-            store.add(gid, (0, 1))
+            columns.append(gid, (0, 1))
     # Sparse candidate sets: the shape the specialize phase produces
     # when a label's occurrence column intersects a small class.
     probes = []
     for _ in range(200):
         bits = 0
         for _ in range(rng.randint(2, 40)):
-            bits |= 1 << rng.randrange(len(store))
+            bits |= 1 << rng.randrange(len(columns))
         probes.append(bits)
 
     start = time.perf_counter()
-    adaptive = [store.support_count(b) for b in probes]
+    adaptive = [columns.support_count(b) for b in probes]
     adaptive_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    scanned = [_full_scan_support(store, b) for b in probes]
+    scanned = [_full_scan_support(columns, b) for b in probes]
     scan_seconds = time.perf_counter() - start
 
     assert adaptive == scanned  # identical answers, always
@@ -112,8 +111,8 @@ def test_adaptive_support_kernel():
         scan_seconds,
         _KernelPoint(len(probes), {}),
     )
-    # The PR's acceptance floor is 5x on the fig 4.2-scale workload;
-    # gate conservatively at 3x so slow shared runners don't flake.
+    # The floor is 5x on the fig 4.2-scale workload; gate
+    # conservatively at 3x so slow shared runners don't flake.
     assert speedup >= 3.0
 
 

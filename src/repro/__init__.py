@@ -23,121 +23,92 @@ See DESIGN.md for the architecture and EXPERIMENTS.md for the paper
 reproduction results.
 """
 
-from repro.core.analysis import (
-    closed_patterns,
-    filter_patterns,
-    group_by_class,
-    label_depth_profile,
-    specialization_edges,
-    top_patterns,
-)
-from repro.core.oracle import mine_with_oracle
-from repro.core.relabel import relabel_database
-from repro.core.results import (
-    MiningCounters,
-    TaxogramResult,
-    TaxonomyPattern,
-    format_pattern,
-)
-from repro.core.tacgm import TAcGM, TAcGMOptions
-from repro.core.taxogram import Taxogram, TaxogramOptions, mine, mine_baseline
-from repro.observability import MetricsRegistry, RunReport, Tracer
-from repro.parallel.runtime import ParallelTaxogram
-from repro.exceptions import (
-    FormatError,
-    GraphError,
-    MemoryBudgetExceeded,
-    MiningError,
-    ReproError,
-    StoreError,
-    TaxonomyError,
-)
-from repro.graphs.database import GraphDatabase
-from repro.graphs.graph import Graph
-from repro.incremental import (
-    DatabaseDelta,
-    IncrementalOptions,
-    IncrementalTaxogram,
-    PatternStore,
-)
-from repro.serving import (
-    BatchExecutor,
-    Query,
-    ServingAnswer,
-    StoreReader,
-)
-from repro.graphs.io import read_graph_database, write_graph_database
-from repro.mining.gspan import GSpanMiner
-from repro.taxonomy.atoms import pte_atom_taxonomy
-from repro.taxonomy.builders import taxonomy_from_parent_names
-from repro.taxonomy.generators import TaxonomyGeneratorConfig, generate_taxonomy
-from repro.taxonomy.go import go_like_taxonomy
-from repro.taxonomy.io import read_taxonomy, write_taxonomy
-from repro.taxonomy.taxonomy import Taxonomy
-from repro.util.interner import LabelInterner
+import importlib
+
+# Public name -> defining module.  Subpackages load on first attribute
+# access (module ``__getattr__`` below), so ``import repro`` or
+# ``import repro.streaming`` pays only for the modules actually used.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "repro.core.analysis": (
+            "closed_patterns",
+            "filter_patterns",
+            "group_by_class",
+            "label_depth_profile",
+            "specialization_edges",
+            "top_patterns",
+        ),
+        "repro.core.oracle": ("mine_with_oracle",),
+        "repro.core.relabel": ("relabel_database",),
+        "repro.core.results": (
+            "MiningCounters",
+            "TaxogramResult",
+            "TaxonomyPattern",
+            "format_pattern",
+        ),
+        "repro.core.tacgm": ("TAcGM", "TAcGMOptions"),
+        "repro.core.taxogram": (
+            "Taxogram",
+            "TaxogramOptions",
+            "mine",
+            "mine_baseline",
+        ),
+        "repro.observability": ("MetricsRegistry", "RunReport", "Tracer"),
+        "repro.parallel.runtime": ("ParallelTaxogram",),
+        "repro.exceptions": (
+            "FormatError",
+            "GraphError",
+            "MemoryBudgetExceeded",
+            "MiningError",
+            "ReproError",
+            "StoreError",
+            "TaxonomyError",
+        ),
+        "repro.graphs.database": ("GraphDatabase",),
+        "repro.graphs.graph": ("Graph",),
+        "repro.incremental": (
+            "DatabaseDelta",
+            "IncrementalOptions",
+            "IncrementalTaxogram",
+            "PatternStore",
+        ),
+        "repro.serving": (
+            "BatchExecutor",
+            "Query",
+            "ServingAnswer",
+            "StoreReader",
+        ),
+        "repro.graphs.io": ("read_graph_database", "write_graph_database"),
+        "repro.mining.gspan": ("GSpanMiner",),
+        "repro.taxonomy.atoms": ("pte_atom_taxonomy",),
+        "repro.taxonomy.builders": ("taxonomy_from_parent_names",),
+        "repro.taxonomy.generators": (
+            "TaxonomyGeneratorConfig",
+            "generate_taxonomy",
+        ),
+        "repro.taxonomy.go": ("go_like_taxonomy",),
+        "repro.taxonomy.io": ("read_taxonomy", "write_taxonomy"),
+        "repro.taxonomy.taxonomy": ("Taxonomy",),
+        "repro.util.interner": ("LabelInterner",),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core algorithms
-    "Taxogram",
-    "TaxogramOptions",
-    "mine",
-    "mine_baseline",
-    "TAcGM",
-    "TAcGMOptions",
-    "ParallelTaxogram",
-    "mine_with_oracle",
-    "relabel_database",
-    # incremental mining
-    "PatternStore",
-    "DatabaseDelta",
-    "IncrementalTaxogram",
-    "IncrementalOptions",
-    # serving
-    "StoreReader",
-    "ServingAnswer",
-    "BatchExecutor",
-    "Query",
-    # analysis
-    "closed_patterns",
-    "filter_patterns",
-    "group_by_class",
-    "label_depth_profile",
-    "specialization_edges",
-    "top_patterns",
-    # results
-    "TaxonomyPattern",
-    "TaxogramResult",
-    "MiningCounters",
-    "format_pattern",
-    # observability
-    "Tracer",
-    "RunReport",
-    "MetricsRegistry",
-    # substrates
-    "Graph",
-    "GraphDatabase",
-    "GSpanMiner",
-    "Taxonomy",
-    "LabelInterner",
-    "taxonomy_from_parent_names",
-    "TaxonomyGeneratorConfig",
-    "generate_taxonomy",
-    "go_like_taxonomy",
-    "pte_atom_taxonomy",
-    # I/O
-    "read_graph_database",
-    "write_graph_database",
-    "read_taxonomy",
-    "write_taxonomy",
-    # errors
-    "ReproError",
-    "GraphError",
-    "TaxonomyError",
-    "FormatError",
-    "MiningError",
-    "StoreError",
-    "MemoryBudgetExceeded",
-]
+__all__ = ["__version__", *_EXPORTS]

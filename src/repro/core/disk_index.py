@@ -39,7 +39,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Iterable
 
-from repro.core.occurrence_index import OccurrenceStore
+from repro.core.occurrence_index import OccurrenceColumns
 from repro.core.results import MiningCounters
 from repro.exceptions import MiningError
 from repro.mining.gspan import Embedding
@@ -413,15 +413,15 @@ def build_disk_occurrence_index(
     counters: MiningCounters | None = None,
     directory: str | Path | None = None,
     max_resident_entries: int = _DEFAULT_RESIDENT,
-) -> tuple[OccurrenceStore, DiskOccurrenceIndex]:
+) -> tuple[OccurrenceColumns, DiskOccurrenceIndex]:
     """Disk-backed drop-in for
     :func:`repro.core.occurrence_index.build_occurrence_index`."""
-    store = OccurrenceStore()
+    columns = OccurrenceColumns()
     index = DiskOccurrenceIndex(num_positions, directory, max_resident_entries)
     updates = 0
     ancestor_cache: dict[int, tuple[int, ...]] = {}
     for emb in embeddings:
-        occ_bit = 1 << store.add(emb.graph_id, emb.nodes)
+        occ_bit = 1 << columns.append(emb.graph_id, emb.nodes)
         graph_originals = original_labels[emb.graph_id]
         for position, node in enumerate(emb.nodes):
             original = graph_originals[node]
@@ -438,4 +438,4 @@ def build_disk_occurrence_index(
     if counters is not None:
         counters.occurrence_index_updates += updates
         counters.oie_entries += index.covered_entry_count()
-    return store, index.finish()
+    return columns, index.finish()

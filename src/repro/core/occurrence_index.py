@@ -1,10 +1,12 @@
 """Taxonomy-projected occurrence indices (paper §3, Step 2).
 
-For one pattern class, the *occurrence store* registers every occurrence
-(embedding) of the class's most general pattern, numbered
-``graph#.occurrence#`` exactly as in the paper, and keeps a per-graph bit
+For one pattern class, the *occurrence columns* register every
+occurrence (embedding) of the class's most general pattern, numbered
+``graph#.occurrence#`` exactly as in the paper, and keep a per-graph bit
 mask so that support (distinct containing graphs) of any occurrence
-bit-set is a popcount-style scan.
+bit-set is a popcount-style scan.  The same type persists in a
+:class:`~repro.incremental.store.PatternStore` and is maintained there
+across database deltas.
 
 The *occurrence index* holds one entry (OIE) per pattern node position: a
 mapping from covered taxonomy label to the bit-set of occurrences whose
@@ -21,7 +23,7 @@ tests (Lemma 7).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.results import MiningCounters
 from repro.graphs.database import GraphDatabase
@@ -29,38 +31,62 @@ from repro.mining.gspan import Embedding
 from repro.taxonomy.taxonomy import Taxonomy
 
 __all__ = [
-    "OccurrenceStore",
+    "OccurrenceColumns",
     "OccurrenceIndex",
     "build_occurrence_index",
     "generalized_label_supports",
 ]
 
 
-class OccurrenceStore:
-    """Registry of the occurrences of one pattern class."""
+class OccurrenceColumns:
+    """The occurrence-id space of one pattern class.
 
-    __slots__ = ("occurrences", "_graph_masks")
+    ``occurrences[occ_id]`` is ``(graph_id, mapped_nodes)`` for a live
+    occurrence or ``None`` for a cleared (dead) one.  A fresh build only
+    appends; a persisted store keeps the same object across deltas, where
+    new graphs append columns and removals clear columns in place.  Dead
+    columns keep their ids reserved so the bit positions of every
+    persisted OIE row stay valid without rewriting the index on each
+    removal; :meth:`compact` reclaims them when :attr:`dead_fraction`
+    grows.  Every live occurrence's bit is set in :attr:`all_bits` and in
+    its graph's mask; OIE rows only ever cover live occurrences.
+    """
 
-    def __init__(self) -> None:
-        # occurrence id -> (graph id, mapped nodes); ids are dense.
-        self.occurrences: list[tuple[int, tuple[int, ...]]] = []
+    __slots__ = ("occurrences", "_graph_masks", "_live")
+
+    def __init__(
+        self,
+        columns: Iterable[tuple[int, tuple[int, ...]] | None] = (),
+    ) -> None:
+        self.occurrences: list[tuple[int, tuple[int, ...]] | None] = []
         self._graph_masks: dict[int, int] = {}
+        self._live = 0
+        for column in columns:
+            if column is None:
+                self.occurrences.append(None)
+            else:
+                gid, nodes = column
+                self.append(gid, tuple(nodes))
 
-    def add(self, graph_id: int, nodes: tuple[int, ...]) -> int:
+    def append(self, graph_id: int, nodes: tuple[int, ...]) -> int:
+        """Register one occurrence in ``graph_id``; returns its id."""
         occ_id = len(self.occurrences)
         self.occurrences.append((graph_id, nodes))
-        self._graph_masks[graph_id] = self._graph_masks.get(graph_id, 0) | (
-            1 << occ_id
-        )
+        bit = 1 << occ_id
+        self._graph_masks[graph_id] = self._graph_masks.get(graph_id, 0) | bit
+        self._live |= bit
         return occ_id
 
     def __len__(self) -> int:
         return len(self.occurrences)
 
+    def __iter__(self) -> Iterator[tuple[int, tuple[int, ...]] | None]:
+        return iter(self.occurrences)
+
     @property
     def all_bits(self) -> int:
-        """Mask of every registered occurrence."""
-        return (1 << len(self.occurrences)) - 1
+        """Mask of every live occurrence."""
+        return self._live
 
     def support_count(self, bits: int) -> int:
         """Distinct graphs with at least one occurrence in ``bits``.
@@ -69,11 +95,12 @@ class OccurrenceStore:
         number of graphs, walking its set bits and collecting owning
         graph ids is O(popcount) instead of the O(#graphs) mask scan —
         the dominant cost of the specialize phase on large databases.
-        Both strategies return identical counts.
+        Both strategies return identical counts.  ``bits`` holds live
+        occurrences only, as every OIE row and :attr:`all_bits` do.
         """
         if bits == 0:
             return 0
-        if bits == self.all_bits:
+        if bits == self._live:
             return len(self._graph_masks)
         if bits.bit_count() * 4 < len(self._graph_masks):
             occurrences = self.occurrences
@@ -105,6 +132,91 @@ class OccurrenceStore:
             per_graph[gid] = per_graph.get(gid, 0) + 1
             out.append(f"G{gid}.{per_graph[gid]}")
         return out
+
+    # -- maintenance across deltas --------------------------------------------
+
+    @property
+    def live_count(self) -> int:
+        return self._live.bit_count()
+
+    @property
+    def dead_fraction(self) -> float:
+        if not self.occurrences:
+            return 0.0
+        dead = len(self.occurrences) - self._live.bit_count()
+        return dead / len(self.occurrences)
+
+    def clear_graphs(self, removed: Iterable[int]) -> int:
+        """Clear every column of the given graphs; returns the cleared mask."""
+        cleared = 0
+        for gid in removed:
+            mask = self._graph_masks.pop(gid, None)
+            if mask is None:
+                continue
+            cleared |= mask
+            probe = mask
+            while probe:
+                low = probe & -probe
+                self.occurrences[low.bit_length() - 1] = None
+                probe ^= low
+        self._live &= ~cleared
+        return cleared
+
+    def remap_graphs(self, id_map: Mapping[int, int]) -> None:
+        """Renumber live columns' graph ids (after removals shift ids down).
+
+        Every live graph id must be present in ``id_map`` — clear removed
+        graphs first with :meth:`clear_graphs`.
+        """
+        self._graph_masks = {
+            id_map[gid]: mask for gid, mask in self._graph_masks.items()
+        }
+        for occ_id, column in enumerate(self.occurrences):
+            if column is not None:
+                self.occurrences[occ_id] = (id_map[column[0]], column[1])
+
+    def compaction_map(self) -> dict[int, int]:
+        """Dense renumbering of live columns (old occurrence id -> new)."""
+        out: dict[int, int] = {}
+        for occ_id, column in enumerate(self.occurrences):
+            if column is not None:
+                out[occ_id] = len(out)
+        return out
+
+    def compact(self, id_map: Mapping[int, int]) -> None:
+        """Drop dead columns, renumbering live ones through ``id_map``.
+
+        ``id_map`` is :meth:`compaction_map` (shared with the disk index
+        so both sides renumber identically).
+        """
+        survivors = [c for c in self.occurrences if c is not None]
+        self.occurrences = []
+        self._graph_masks = {}
+        self._live = 0
+        for gid, nodes in survivors:
+            self.append(gid, nodes)
+
+    # -- persistence ----------------------------------------------------------
+
+    def to_rows(self) -> list[list | None]:
+        """JSON-serializable view: ``[gid, [nodes...]]`` or ``None``."""
+        return [
+            None if column is None else [column[0], list(column[1])]
+            for column in self.occurrences
+        ]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[list | None]) -> "OccurrenceColumns":
+        return cls(
+            None if row is None else (int(row[0]), tuple(map(int, row[1])))
+            for row in rows
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"OccurrenceColumns(live={self.live_count}, "
+            f"dead={len(self.occurrences) - self.live_count})"
+        )
 
 
 class OccurrenceIndex:
@@ -147,7 +259,7 @@ def build_occurrence_index(
     taxonomy: Taxonomy,
     allowed_labels: frozenset[int] | None = None,
     counters: MiningCounters | None = None,
-) -> tuple[OccurrenceStore, OccurrenceIndex]:
+) -> tuple[OccurrenceColumns, OccurrenceIndex]:
     """Register embeddings and project them onto the taxonomy.
 
     For each occurrence and each pattern position, the node's *original*
@@ -157,12 +269,12 @@ def build_occurrence_index(
     the set are skipped: they cannot reach the support threshold, so no
     pattern will ever need their occurrence sets.
     """
-    store = OccurrenceStore()
+    columns = OccurrenceColumns()
     entries: list[dict[int, int]] = [{} for _ in range(num_positions)]
     updates = 0
     ancestor_cache: dict[int, tuple[int, ...]] = {}
     for emb in embeddings:
-        occ_bit = 1 << store.add(emb.graph_id, emb.nodes)
+        occ_bit = 1 << columns.append(emb.graph_id, emb.nodes)
         graph_originals = original_labels[emb.graph_id]
         for position, node in enumerate(emb.nodes):
             original = graph_originals[node]
@@ -180,7 +292,7 @@ def build_occurrence_index(
     if counters is not None:
         counters.occurrence_index_updates += updates
         counters.oie_entries += sum(len(entry) for entry in entries)
-    return store, OccurrenceIndex(entries)
+    return columns, OccurrenceIndex(entries)
 
 
 def generalized_label_supports(

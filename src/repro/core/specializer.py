@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from typing import Callable
 
-from repro.core.occurrence_index import OccurrenceIndex, OccurrenceStore
+from repro.core.occurrence_index import OccurrenceColumns, OccurrenceIndex
 from repro.core.results import MiningCounters, TaxonomyPattern
 from repro.graphs.graph import Graph
 from repro.mining.dfs_code import min_dfs_code
@@ -62,7 +62,7 @@ class SpecializerOptions:
 def specialize_class(
     class_id: int,
     structure: Graph,
-    store: OccurrenceStore,
+    store: OccurrenceColumns,
     index: OccurrenceIndex,
     taxonomy: Taxonomy,
     min_count: int,
@@ -142,7 +142,7 @@ def _position_options(
     position: int,
     base_label: int,
     bits: int,
-    store: OccurrenceStore,
+    store: OccurrenceColumns,
     min_count: int,
     descendant_pruning: bool,
     counters: MiningCounters,
@@ -177,7 +177,7 @@ def _is_overgeneralized(
     labels: list[int],
     bits: int,
     support_count: int,
-    store: OccurrenceStore,
+    store: OccurrenceColumns,
     index: OccurrenceIndex,
     taxonomy: Taxonomy,
     counters: MiningCounters,

@@ -7,8 +7,9 @@ keeps it current as the database changes:
   on-disk serialization of a complete mining result (pattern classes,
   per-class occurrence indices, negative border, options fingerprint).
 * :mod:`repro.incremental.delta` — :class:`DatabaseDelta` (batched graph
-  additions/removals) and :class:`OccurrenceColumns`, the maintained
-  occurrence-id space of one class.
+  additions/removals).  Each class's occurrence-id space is a
+  :class:`repro.core.occurrence_index.OccurrenceColumns`, maintained
+  across deltas.
 * :mod:`repro.incremental.pipeline` — :func:`mine_to_store`, mining into
   a fresh store (``TaxogramOptions(store_out=...)`` routes here).
 * :mod:`repro.incremental.updater` — :class:`IncrementalTaxogram`, which
@@ -18,7 +19,7 @@ See docs/API.md ("Incremental mining") for the store format and the
 fallback policy.
 """
 
-from repro.incremental.delta import DatabaseDelta, OccurrenceColumns
+from repro.incremental.delta import DatabaseDelta
 from repro.incremental.pipeline import mine_to_store
 from repro.incremental.store import (
     FORMAT_VERSION,
@@ -31,7 +32,6 @@ from repro.incremental.updater import IncrementalOptions, IncrementalTaxogram
 
 __all__ = [
     "DatabaseDelta",
-    "OccurrenceColumns",
     "mine_to_store",
     "PatternStore",
     "StoredClass",

@@ -1,31 +1,23 @@
-"""Database deltas and the occurrence-id space they act on.
+"""Database deltas.
 
 A :class:`DatabaseDelta` batches graph additions (as graph-database text,
 parsed against the store's interners at apply time so label ids stay
-consistent) with graph removals (pre-delta graph ids).
-
-:class:`OccurrenceColumns` is the persistent replacement for
-:class:`repro.core.occurrence_index.OccurrenceStore`: the occurrence-id
-space of one pattern class, maintained across deltas.  New graphs append
-bit columns; removals clear columns in place (tombstones keep surviving
-occurrence ids — and therefore every persisted OIE bit-set — stable);
-a compaction pass renumbers the survivors densely once the dead fraction
-crosses a threshold.  The class duck-types the ``OccurrenceStore``
-interface consumed by :func:`repro.core.specializer.specialize_class`
-(``all_bits`` / ``support_count`` / ``support_set``).
+consistent) with graph removals (pre-delta graph ids).  The occurrence-id
+space a delta acts on is
+:class:`repro.core.occurrence_index.OccurrenceColumns`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.io import parse_graph_database, serialize_graph_database
 from repro.util.interner import LabelInterner
 
-__all__ = ["DatabaseDelta", "OccurrenceColumns"]
+__all__ = ["DatabaseDelta"]
 
 
 @dataclass(frozen=True)
@@ -86,165 +78,3 @@ class DatabaseDelta:
     ) -> GraphDatabase:
         """Parse the additions; pass the store's interners for stable ids."""
         return parse_graph_database(self.add_text, node_labels, edge_labels)
-
-
-class OccurrenceColumns:
-    """The maintained occurrence-id space of one stored pattern class.
-
-    ``columns[occ_id]`` is ``(graph_id, mapped_nodes)`` for a live
-    occurrence or ``None`` for a cleared (dead) one.  Dead columns keep
-    their ids reserved so the bit positions of every persisted OIE row
-    stay valid without rewriting the index on each removal; they are
-    reclaimed by :meth:`compact` when :attr:`dead_fraction` grows.
-    """
-
-    __slots__ = ("_columns", "_graph_masks", "_dead_bits")
-
-    def __init__(
-        self,
-        columns: Iterable[tuple[int, tuple[int, ...]] | None] = (),
-    ) -> None:
-        self._columns: list[tuple[int, tuple[int, ...]] | None] = []
-        self._graph_masks: dict[int, int] = {}
-        self._dead_bits = 0
-        for column in columns:
-            if column is None:
-                self._columns.append(None)
-                self._dead_bits |= 1 << (len(self._columns) - 1)
-            else:
-                gid, nodes = column
-                self.append(gid, tuple(nodes))
-
-    # -- OccurrenceStore duck interface ------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._columns)
-
-    @property
-    def all_bits(self) -> int:
-        """Mask of every *live* occurrence."""
-        return ((1 << len(self._columns)) - 1) & ~self._dead_bits
-
-    def support_count(self, bits: int) -> int:
-        # Adaptive kernel, mirroring OccurrenceStore.support_count:
-        # sparse candidate sets walk their own bits instead of scanning
-        # every graph mask.  Dead columns are never set in incoming
-        # masks (OIE rows only cover live occurrences), but guard with
-        # the all_bits clamp anyway so stale bits cannot crash on None.
-        if bits == 0:
-            return 0
-        if bits == self.all_bits:
-            return len(self._graph_masks)
-        if bits.bit_count() * 4 < len(self._graph_masks):
-            columns = self._columns
-            graphs: set[int] = set()
-            probe = bits & self.all_bits
-            while probe:
-                low = probe & -probe
-                column = columns[low.bit_length() - 1]
-                if column is not None:
-                    graphs.add(column[0])
-                probe ^= low
-            return len(graphs)
-        return sum(1 for mask in self._graph_masks.values() if mask & bits)
-
-    def support_set(self, bits: int) -> frozenset[int]:
-        return frozenset(
-            gid for gid, mask in self._graph_masks.items() if mask & bits
-        )
-
-    # -- maintenance ---------------------------------------------------------------
-
-    @property
-    def live_count(self) -> int:
-        return len(self._columns) - self._dead_bits.bit_count()
-
-    @property
-    def dead_fraction(self) -> float:
-        if not self._columns:
-            return 0.0
-        return self._dead_bits.bit_count() / len(self._columns)
-
-    def append(self, graph_id: int, nodes: tuple[int, ...]) -> int:
-        """Register one occurrence in ``graph_id``; returns its column id."""
-        occ_id = len(self._columns)
-        self._columns.append((graph_id, nodes))
-        self._graph_masks[graph_id] = self._graph_masks.get(graph_id, 0) | (
-            1 << occ_id
-        )
-        return occ_id
-
-    def clear_graphs(self, removed: Iterable[int]) -> int:
-        """Clear every column of the given graphs; returns the cleared mask."""
-        cleared = 0
-        for gid in removed:
-            mask = self._graph_masks.pop(gid, None)
-            if mask is None:
-                continue
-            cleared |= mask
-            probe = mask
-            while probe:
-                low = probe & -probe
-                self._columns[low.bit_length() - 1] = None
-                probe ^= low
-        self._dead_bits |= cleared
-        return cleared
-
-    def remap_graphs(self, id_map: Mapping[int, int]) -> None:
-        """Renumber live columns' graph ids (after removals shift ids down).
-
-        Every live graph id must be present in ``id_map`` — clear removed
-        graphs first with :meth:`clear_graphs`.
-        """
-        self._graph_masks = {
-            id_map[gid]: mask for gid, mask in self._graph_masks.items()
-        }
-        for occ_id, column in enumerate(self._columns):
-            if column is not None:
-                self._columns[occ_id] = (id_map[column[0]], column[1])
-
-    def compaction_map(self) -> dict[int, int]:
-        """Dense renumbering of live columns (old occurrence id -> new)."""
-        out: dict[int, int] = {}
-        for occ_id, column in enumerate(self._columns):
-            if column is not None:
-                out[occ_id] = len(out)
-        return out
-
-    def compact(self, id_map: Mapping[int, int]) -> None:
-        """Drop dead columns, renumbering live ones through ``id_map``.
-
-        ``id_map`` is :meth:`compaction_map` (shared with the disk index
-        so both sides renumber identically).
-        """
-        survivors = [c for c in self._columns if c is not None]
-        self._columns = survivors
-        self._dead_bits = 0
-        self._graph_masks = {}
-        for occ_id, (gid, _nodes) in enumerate(survivors):
-            self._graph_masks[gid] = self._graph_masks.get(gid, 0) | (1 << occ_id)
-
-    # -- persistence ---------------------------------------------------------------
-
-    def to_rows(self) -> list[list | None]:
-        """JSON-serializable view: ``[gid, [nodes...]]`` or ``None``."""
-        return [
-            None if column is None else [column[0], list(column[1])]
-            for column in self._columns
-        ]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[list | None]) -> "OccurrenceColumns":
-        return cls(
-            None if row is None else (int(row[0]), tuple(int(n) for n in row[1]))
-            for row in rows
-        )
-
-    def __iter__(self) -> Iterator[tuple[int, tuple[int, ...]] | None]:
-        return iter(self._columns)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"OccurrenceColumns(live={self.live_count}, "
-            f"dead={self._dead_bits.bit_count()})"
-        )

@@ -33,13 +33,15 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.occurrence_index import build_occurrence_index
+from repro.core.occurrence_index import (
+    OccurrenceColumns,
+    build_occurrence_index,
+)
 from repro.core.relabel import relabel_database
 from repro.core.results import MiningCounters, TaxogramResult, TaxonomyPattern
 from repro.core.specializer import SpecializerOptions, specialize_class
 from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
-from repro.incremental.delta import OccurrenceColumns
 from repro.incremental.store import PatternStore
 from repro.mining.dfs_code import DFSCode, DFSEdge, is_min_code
 from repro.mining.gspan import Embedding, GSpanMiner, MinedPattern, min_support_count
@@ -125,7 +127,7 @@ def _mine_sequential(
         with specialize, tracer.span("specialize.class"):
             counters.pattern_classes += 1
             counters.embedding_extensions += len(mined.embeddings)
-            mem_store, index = build_occurrence_index(
+            columns, index = build_occurrence_index(
                 mined.code.num_vertices,
                 mined.embeddings,
                 relabeled.original_labels,
@@ -137,7 +139,7 @@ def _mine_sequential(
                 specialize_class(
                     class_id=counters.pattern_classes - 1,
                     structure=mined.graph,
-                    store=mem_store,
+                    store=columns,
                     index=index,
                     taxonomy=relabeled.taxonomy,
                     min_count=min_count,
@@ -146,9 +148,7 @@ def _mine_sequential(
                     counters=counters,
                 )
             )
-            stored = store.add_class(
-                mined.code.edges, OccurrenceColumns(mem_store.occurrences)
-            )
+            stored = store.add_class(mined.code.edges, columns)
             _persist_entries(store, stored, index, options)
 
     total = Stopwatch()

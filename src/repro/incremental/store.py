@@ -51,10 +51,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.disk_index import DiskOccurrenceIndex
+from repro.core.occurrence_index import OccurrenceColumns
 from repro.exceptions import CompressionError, StoreError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.io import parse_graph_database, serialize_graph_database
-from repro.incremental.delta import OccurrenceColumns
 from repro.mining.dfs_code import DFSCode, DFSEdge
 from repro.taxonomy.io import serialize_taxonomy
 from repro.taxonomy.taxonomy import Taxonomy

@@ -47,7 +47,7 @@ from repro.core.results import (
 from repro.core.specializer import SpecializerOptions, specialize_class
 from repro.exceptions import MiningError, TaxonomyError
 from repro.graphs.database import GraphDatabase
-from repro.incremental.delta import DatabaseDelta, OccurrenceColumns
+from repro.incremental.delta import DatabaseDelta
 from repro.incremental.store import PatternStore, StoredClass
 from repro.mining.dfs_code import (
     DFSCode,
@@ -372,7 +372,7 @@ class IncrementalTaxogram:
                         index.close()
                     final_classes.append(stored)
                 else:
-                    mem_store, mem_index = build_occurrence_index(
+                    columns, mem_index = build_occurrence_index(
                         payload.code.num_vertices,
                         payload.embeddings,
                         new_originals,
@@ -384,7 +384,7 @@ class IncrementalTaxogram:
                         specialize_class(
                             class_id=class_id,
                             structure=payload.graph,
-                            store=mem_store,
+                            store=columns,
                             index=mem_index,
                             taxonomy=working,
                             min_count=min_count_new,
@@ -393,9 +393,7 @@ class IncrementalTaxogram:
                             counters=counters,
                         )
                     )
-                    stored = store.add_class(
-                        code, OccurrenceColumns(mem_store.occurrences)
-                    )
+                    stored = store.add_class(code, columns)
                     disk = store.create_index(
                         stored, opts.disk_max_resident_entries
                     )

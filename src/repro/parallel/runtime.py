@@ -27,7 +27,7 @@ expensive middle of the pipeline over worker processes:
    locally-frequent-only candidates, recovering the sequential class
    list in sequential order.
 6. **Specialize** (workers) — surviving classes are dispatched in
-   chunks; each worker reconstructs the class's occurrence store/index
+   chunks; each worker reconstructs the class's occurrence columns/index
    (memory or disk backend) and runs the sequential Step-3 specializer.
 
 Degradation is graceful: ``workers <= 1``, a single-graph database, a
@@ -51,8 +51,8 @@ from typing import Sequence
 
 from repro.core.disk_index import DiskOccurrenceIndex
 from repro.core.occurrence_index import (
+    OccurrenceColumns,
     OccurrenceIndex,
-    OccurrenceStore,
     build_occurrence_index,
     generalized_label_supports,
 )
@@ -198,7 +198,7 @@ def _build_fragment(
     allowed: frozenset[int] | None,
 ) -> ClassFragment:
     counters = MiningCounters()
-    store, index = build_occurrence_index(
+    columns, index = build_occurrence_index(
         DFSCode(code).num_vertices,
         embeddings,
         data.original_labels,
@@ -209,7 +209,7 @@ def _build_fragment(
     return ClassFragment(
         shard_id=shard_id,
         code=code,
-        occurrences=tuple(store.occurrences),
+        occurrences=tuple(columns.occurrences),
         entries=index.entries,
         index_updates=counters.occurrence_index_updates,
     )
@@ -291,13 +291,12 @@ def _phase_specialize(
     with clock:
         for class_id, code, occurrences, entries in tasks:
             structure = DFSCode(code).to_graph()
-            store = OccurrenceStore()
-            for graph_id, nodes in occurrences:
-                store.add(graph_id, nodes)
+            columns = OccurrenceColumns(occurrences)
             if config.backend == "disk":
                 patterns.extend(
                     _specialize_on_disk(
-                        runtime, class_id, structure, store, entries, counters
+                        runtime, class_id, structure, columns, entries,
+                        counters,
                     )
                 )
             else:
@@ -305,7 +304,7 @@ def _phase_specialize(
                     specialize_class(
                         class_id=class_id,
                         structure=structure,
-                        store=store,
+                        store=columns,
                         index=OccurrenceIndex(entries),
                         taxonomy=runtime.taxonomy,
                         min_count=config.global_min_count,
@@ -324,7 +323,7 @@ def _specialize_on_disk(
     runtime: _WorkerRuntime,
     class_id: int,
     structure,
-    store: OccurrenceStore,
+    columns: OccurrenceColumns,
     entries: Sequence[dict[int, int]],
     counters: MiningCounters,
 ) -> list[TaxonomyPattern]:
@@ -349,7 +348,7 @@ def _specialize_on_disk(
             return specialize_class(
                 class_id=class_id,
                 structure=structure,
-                store=store,
+                store=columns,
                 index=index,
                 taxonomy=runtime.taxonomy,
                 min_count=config.global_min_count,

@@ -258,8 +258,7 @@ def serving_routes(
 
         payload = reader.metrics.as_dict()
         # Process-cumulative bit-set kernel work: similarity scoring
-        # (overlap/jaccard over fragment fingerprints) runs on BitSet
-        # kernels, so operators can watch block-skipping pay off.
+        # (unions/jaccards over fragment fingerprints) runs on BitSet.
         payload.setdefault("counters", {}).update(
             {k: v for k, v in kernel_counters().items() if v}
         )

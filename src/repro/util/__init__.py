@@ -2,7 +2,6 @@
 
 from repro.util.bitset import (
     BitSet,
-    IntBitSet,
     kernel_counters,
     kernel_delta,
     reset_kernel_counters,
@@ -21,7 +20,6 @@ from repro.util.timing import Stopwatch
 
 __all__ = [
     "BitSet",
-    "IntBitSet",
     "kernel_counters",
     "kernel_delta",
     "reset_kernel_counters",

@@ -4,23 +4,9 @@ The Taxogram occurrence indices (paper §3, Step 2) store occurrence-id
 sets as bit vectors so that computing the occurrence set of a specialized
 pattern is a single bitwise AND (Lemma 7).
 
-Two implementations live here:
-
-* :class:`BitSet` — the production class: a roaring-style *blocked*
-  bit-set.  The id space is split into blocks of :data:`BLOCK_BITS`
-  (65536) ids; only non-empty blocks are materialized, keyed by block
-  index.  In memory every resident block is a Python int, so block-local
-  AND/OR/popcount run at C speed exactly like the historical single-int
-  backing, while sparse sets over a large id universe skip absent blocks
-  entirely (the kernel counters below make the skipping observable).
-  The *serialized* form (:meth:`BitSet.to_bytes`) picks the smallest of
-  three container encodings per block — sorted-array for sparse blocks,
-  run-length for contiguous ranges, raw bitmap for dense blocks — which
-  is where the on-disk compression comes from.
-* :class:`IntBitSet` — the previous implementation (one arbitrary-
-  precision int), kept verbatim as the differential *reference oracle*
-  for the property test suite (``tests/test_bitset_compressed.py``).
-  Every ``BitSet`` operation is checked bit-for-bit against it.
+:class:`BitSet` is one arbitrary-precision Python int: AND, OR, shifts
+and popcounts all run at C speed over the whole set, with no per-block
+bookkeeping.
 
 All binary operations return new instances; in-place mutation is limited
 to the ``*_update`` / ``add`` / ``discard`` / ``clear_bit`` family.
@@ -28,31 +14,14 @@ to the ``*_update`` / ``add`` / ``discard`` / ``clear_bit`` family.
 
 from __future__ import annotations
 
-import struct
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
-    "BLOCK_BITS",
     "BitSet",
-    "IntBitSet",
     "kernel_counters",
     "kernel_delta",
     "reset_kernel_counters",
 ]
-
-BLOCK_BITS = 1 << 16  # ids per block
-_BLOCK_MASK = BLOCK_BITS - 1
-_BLOCK_SHIFT = 16
-_BLOCK_BYTES = BLOCK_BITS // 8
-
-# Serialized container kinds (see BitSet.to_bytes).
-_KIND_ARRAY = 0  # sorted uint16 members
-_KIND_RUNS = 1  # (start, length-1) uint16 pairs
-_KIND_BITMAP = 2  # raw 8 KiB little-endian bitmap
-
-_SERIAL_VERSION = 1
-_SERIAL_HEADER = struct.Struct(">BI")  # version, block count
-_SERIAL_BLOCK = struct.Struct(">IBH")  # block key, kind, item count
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +44,6 @@ class _KernelCounters:
         "popcounts",
         "jaccards",
         "offsets",
-        "blocks_visited",
-        "blocks_skipped",
-        "containers_encoded",
-        "containers_decoded",
     )
 
     def __init__(self) -> None:
@@ -113,475 +78,12 @@ def reset_kernel_counters() -> None:
 
 
 # ---------------------------------------------------------------------------
-# The blocked bit-set
+# The bit-set
 # ---------------------------------------------------------------------------
 
 
 class BitSet:
-    """A set of non-negative integers in block-compressed form.
-
-    ``_blocks`` maps block index -> non-zero block int; empty blocks are
-    never stored, which keeps the representation canonical (equality and
-    hashing are plain dict comparisons).
-    """
-
-    __slots__ = ("_blocks",)
-
-    def __init__(self, ids: Iterable[int] = ()) -> None:
-        blocks: dict[int, int] = {}
-        for i in ids:
-            if i < 0:
-                raise ValueError(f"BitSet ids must be non-negative, got {i}")
-            key = i >> _BLOCK_SHIFT
-            blocks[key] = blocks.get(key, 0) | (1 << (i & _BLOCK_MASK))
-        self._blocks = blocks
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def _from_blocks(cls, blocks: dict[int, int]) -> "BitSet":
-        out = cls.__new__(cls)
-        out._blocks = blocks
-        return out
-
-    @classmethod
-    def from_bits(cls, bits: int) -> "BitSet":
-        """Build from a raw integer bit mask."""
-        if bits < 0:
-            raise ValueError("bit mask must be non-negative")
-        blocks: dict[int, int] = {}
-        key = 0
-        while bits:
-            block = bits & ((1 << BLOCK_BITS) - 1)
-            if block:
-                blocks[key] = block
-            bits >>= BLOCK_BITS
-            key += 1
-        return cls._from_blocks(blocks)
-
-    @classmethod
-    def full(cls, n: int) -> "BitSet":
-        """The set {0, 1, ..., n-1}."""
-        if n < 0:
-            raise ValueError("size must be non-negative")
-        return cls.from_bits((1 << n) - 1)
-
-    # -- basic protocol --------------------------------------------------------
-
-    @property
-    def bits(self) -> int:
-        """The set materialized as one raw integer mask.
-
-        Rebuilding the mask walks every resident block; callers on hot
-        paths should prefer the block-aware kernels below.
-        """
-        out = 0
-        for key, block in self._blocks.items():
-            out |= block << (key * BLOCK_BITS)
-        return out
-
-    def __len__(self) -> int:
-        return sum(block.bit_count() for block in self._blocks.values())
-
-    def __bool__(self) -> bool:
-        return bool(self._blocks)
-
-    def __contains__(self, i: int) -> bool:
-        if i < 0:
-            return False
-        block = self._blocks.get(i >> _BLOCK_SHIFT, 0)
-        return (block >> (i & _BLOCK_MASK)) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        for key in sorted(self._blocks):
-            base = key * BLOCK_BITS
-            block = self._blocks[key]
-            while block:
-                low = block & -block
-                yield base + low.bit_length() - 1
-                block ^= low
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BitSet):
-            return self._blocks == other._blocks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._blocks.items()))
-
-    def __repr__(self) -> str:
-        return f"BitSet({{{', '.join(map(str, self))}}})"
-
-    # -- mutation --------------------------------------------------------------
-
-    def add(self, i: int) -> None:
-        if i < 0:
-            raise ValueError(f"BitSet ids must be non-negative, got {i}")
-        key = i >> _BLOCK_SHIFT
-        self._blocks[key] = self._blocks.get(key, 0) | (
-            1 << (i & _BLOCK_MASK)
-        )
-
-    def discard(self, i: int) -> None:
-        if i < 0:
-            return
-        key = i >> _BLOCK_SHIFT
-        block = self._blocks.get(key)
-        if block is None:
-            return
-        cleared = block & ~(1 << (i & _BLOCK_MASK))
-        if cleared:
-            self._blocks[key] = cleared
-        else:
-            del self._blocks[key]
-
-    def union_update(self, other: "BitSet") -> None:
-        """In-place union: add every member of ``other`` to this set."""
-        _KERNEL.unions += 1
-        blocks = self._blocks
-        for key, block in other._blocks.items():
-            blocks[key] = blocks.get(key, 0) | block
-            _KERNEL.blocks_visited += 1
-
-    def clear_bit(self, i: int) -> bool:
-        """Remove ``i`` from the set; return whether it was present.
-
-        The incremental updater uses the return value to count how many
-        occurrence columns a removal actually cleared.
-        """
-        if i < 0:
-            return False
-        key = i >> _BLOCK_SHIFT
-        block = self._blocks.get(key)
-        if block is None:
-            return False
-        bit = 1 << (i & _BLOCK_MASK)
-        if block & bit == 0:
-            return False
-        cleared = block ^ bit
-        if cleared:
-            self._blocks[key] = cleared
-        else:
-            del self._blocks[key]
-        return True
-
-    def difference_update(self, other: "BitSet") -> None:
-        """In-place difference: remove every member of ``other``."""
-        _KERNEL.differences += 1
-        blocks = self._blocks
-        for key, block in other._blocks.items():
-            mine = blocks.get(key)
-            if mine is None:
-                _KERNEL.blocks_skipped += 1
-                continue
-            _KERNEL.blocks_visited += 1
-            cleared = mine & ~block
-            if cleared:
-                blocks[key] = cleared
-            else:
-                del blocks[key]
-
-    # -- set algebra -----------------------------------------------------------
-
-    def __and__(self, other: "BitSet") -> "BitSet":
-        _KERNEL.intersections += 1
-        small, big = self._blocks, other._blocks
-        if len(big) < len(small):
-            small, big = big, small
-        out: dict[int, int] = {}
-        for key, block in small.items():
-            theirs = big.get(key)
-            if theirs is None:
-                _KERNEL.blocks_skipped += 1
-                continue
-            _KERNEL.blocks_visited += 1
-            merged = block & theirs
-            if merged:
-                out[key] = merged
-        return BitSet._from_blocks(out)
-
-    def __or__(self, other: "BitSet") -> "BitSet":
-        _KERNEL.unions += 1
-        out = dict(self._blocks)
-        for key, block in other._blocks.items():
-            out[key] = out.get(key, 0) | block
-            _KERNEL.blocks_visited += 1
-        return BitSet._from_blocks(out)
-
-    def __xor__(self, other: "BitSet") -> "BitSet":
-        out = dict(self._blocks)
-        for key, block in other._blocks.items():
-            merged = out.get(key, 0) ^ block
-            if merged:
-                out[key] = merged
-            else:
-                out.pop(key, None)
-        return BitSet._from_blocks(out)
-
-    def __sub__(self, other: "BitSet") -> "BitSet":
-        _KERNEL.differences += 1
-        out: dict[int, int] = {}
-        for key, block in self._blocks.items():
-            theirs = other._blocks.get(key)
-            if theirs is None:
-                out[key] = block
-                _KERNEL.blocks_skipped += 1
-                continue
-            _KERNEL.blocks_visited += 1
-            merged = block & ~theirs
-            if merged:
-                out[key] = merged
-        return BitSet._from_blocks(out)
-
-    def intersection(self, other: "BitSet") -> "BitSet":
-        return self & other
-
-    def union(self, other: "BitSet") -> "BitSet":
-        return self | other
-
-    def difference(self, other: "BitSet") -> "BitSet":
-        return self - other
-
-    def isdisjoint(self, other: "BitSet") -> bool:
-        small, big = self._blocks, other._blocks
-        if len(big) < len(small):
-            small, big = big, small
-        for key, block in small.items():
-            theirs = big.get(key)
-            if theirs is not None and block & theirs:
-                return False
-        return True
-
-    def intersection_count(self, other: "BitSet") -> int:
-        """``|self & other|`` without materializing the intersection.
-
-        The container-aware support kernel: AND + popcount per shared
-        block, absent blocks skipped, no intermediate set allocated.
-        """
-        _KERNEL.intersections += 1
-        _KERNEL.popcounts += 1
-        small, big = self._blocks, other._blocks
-        if len(big) < len(small):
-            small, big = big, small
-        total = 0
-        for key, block in small.items():
-            theirs = big.get(key)
-            if theirs is None:
-                _KERNEL.blocks_skipped += 1
-                continue
-            _KERNEL.blocks_visited += 1
-            total += (block & theirs).bit_count()
-        return total
-
-    def overlap(self, other: "BitSet") -> int:
-        """Alias of :meth:`intersection_count` (the historical name).
-
-        The hot building block for similarity scoring: overlap /
-        jaccard over fragment fingerprints run thousands of times per
-        treelet-prefiltered query.
-        """
-        return self.intersection_count(other)
-
-    def jaccard(self, other: "BitSet") -> float:
-        """Jaccard similarity ``|A & B| / |A | B|``; two empty sets are
-        identical, so the empty/empty case is defined as ``1.0``."""
-        _KERNEL.jaccards += 1
-        inter = 0
-        union = 0
-        mine, theirs = self._blocks, other._blocks
-        for key, block in mine.items():
-            other_block = theirs.get(key)
-            if other_block is None:
-                union += block.bit_count()
-            else:
-                inter += (block & other_block).bit_count()
-                union += (block | other_block).bit_count()
-            _KERNEL.blocks_visited += 1
-        for key, block in theirs.items():
-            if key not in mine:
-                union += block.bit_count()
-        if union == 0:
-            return 1.0
-        return inter / union
-
-    def issubset(self, other: "BitSet") -> bool:
-        for key, block in self._blocks.items():
-            if block & ~other._blocks.get(key, 0):
-                return False
-        return True
-
-    def issuperset(self, other: "BitSet") -> bool:
-        return other.issubset(self)
-
-    def offset(self, k: int) -> "BitSet":
-        """A new set with every member shifted up by ``k``.
-
-        Re-bases a shard-local occurrence-id set onto a global id space
-        (the parallel merge layer ORs offset shard sets together).
-        Whole-block hops are dict re-keying; only the sub-block
-        remainder shifts bits (with carry into the next block).
-        """
-        if k < 0:
-            raise ValueError(f"offset must be non-negative, got {k}")
-        _KERNEL.offsets += 1
-        hop, rem = divmod(k, BLOCK_BITS)
-        out: dict[int, int] = {}
-        for key, block in self._blocks.items():
-            shifted = block << rem
-            low = shifted & ((1 << BLOCK_BITS) - 1)
-            high = shifted >> BLOCK_BITS
-            if low:
-                out[key + hop] = out.get(key + hop, 0) | low
-            if high:
-                out[key + hop + 1] = out.get(key + hop + 1, 0) | high
-        return BitSet._from_blocks(out)
-
-    def compact(self, id_map: Mapping[int, int]) -> "BitSet":
-        """A new set with every member renumbered through ``id_map``.
-
-        Members absent from ``id_map`` are dropped — this is how
-        compaction discards dead occurrence/graph ids while densifying
-        the survivors.
-        """
-        out = BitSet()
-        for i in self:
-            j = id_map.get(i)
-            if j is None:
-                continue
-            if j < 0:
-                raise ValueError(f"compact ids must be non-negative, got {j}")
-            out.add(j)
-        return out
-
-    def copy(self) -> "BitSet":
-        return BitSet._from_blocks(dict(self._blocks))
-
-    def to_set(self) -> set[int]:
-        """Materialize as a plain Python set (mostly for tests/debugging)."""
-        return set(self)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Serialize; every block gets the smallest of three encodings.
-
-        Per block the encoder compares sorted-array (2 bytes/member),
-        run-length (4 bytes/run) and raw bitmap (8 KiB) sizes and keeps
-        the winner, so sparse, contiguous and dense blocks each pay
-        their natural cost.  :meth:`from_bytes` round-trips exactly.
-        """
-        parts = [_SERIAL_HEADER.pack(_SERIAL_VERSION, len(self._blocks))]
-        for key in sorted(self._blocks):
-            block = self._blocks[key]
-            members = block.bit_count()
-            runs = (block & ~(block >> 1)).bit_count()
-            array_bytes = 2 * members
-            run_bytes = 4 * runs
-            _KERNEL.containers_encoded += 1
-            if run_bytes <= array_bytes and run_bytes < _BLOCK_BYTES:
-                encoded_runs = _block_runs(block)
-                parts.append(
-                    _SERIAL_BLOCK.pack(key, _KIND_RUNS, len(encoded_runs))
-                )
-                for start, length in encoded_runs:
-                    parts.append(struct.pack(">HH", start, length - 1))
-            elif array_bytes < _BLOCK_BYTES:
-                values = _block_members(block)
-                parts.append(
-                    _SERIAL_BLOCK.pack(key, _KIND_ARRAY, len(values))
-                )
-                parts.append(struct.pack(f">{len(values)}H", *values))
-            else:
-                parts.append(_SERIAL_BLOCK.pack(key, _KIND_BITMAP, 0))
-                parts.append(block.to_bytes(_BLOCK_BYTES, "little"))
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BitSet":
-        """Inverse of :meth:`to_bytes`; raises ValueError on bad input."""
-        if len(data) < _SERIAL_HEADER.size:
-            raise ValueError("truncated BitSet serialization")
-        version, count = _SERIAL_HEADER.unpack_from(data, 0)
-        if version != _SERIAL_VERSION:
-            raise ValueError(f"unknown BitSet serialization version {version}")
-        offset = _SERIAL_HEADER.size
-        blocks: dict[int, int] = {}
-        for _ in range(count):
-            if len(data) - offset < _SERIAL_BLOCK.size:
-                raise ValueError("truncated BitSet block header")
-            key, kind, items = _SERIAL_BLOCK.unpack_from(data, offset)
-            offset += _SERIAL_BLOCK.size
-            _KERNEL.containers_decoded += 1
-            if kind == _KIND_ARRAY:
-                need = 2 * items
-                if len(data) - offset < need:
-                    raise ValueError("truncated BitSet array container")
-                block = 0
-                for value in struct.unpack_from(f">{items}H", data, offset):
-                    block |= 1 << value
-                offset += need
-            elif kind == _KIND_RUNS:
-                need = 4 * items
-                if len(data) - offset < need:
-                    raise ValueError("truncated BitSet run container")
-                block = 0
-                for _ in range(items):
-                    start, length_minus_1 = struct.unpack_from(
-                        ">HH", data, offset
-                    )
-                    offset += 4
-                    block |= ((1 << (length_minus_1 + 1)) - 1) << start
-            elif kind == _KIND_BITMAP:
-                if len(data) - offset < _BLOCK_BYTES:
-                    raise ValueError("truncated BitSet bitmap container")
-                block = int.from_bytes(
-                    data[offset:offset + _BLOCK_BYTES], "little"
-                )
-                offset += _BLOCK_BYTES
-            else:
-                raise ValueError(f"unknown BitSet container kind {kind}")
-            if block:
-                blocks[key] = block
-        if offset != len(data):
-            raise ValueError("trailing bytes after BitSet serialization")
-        return cls._from_blocks(blocks)
-
-
-def _block_members(block: int) -> list[int]:
-    out: list[int] = []
-    while block:
-        low = block & -block
-        out.append(low.bit_length() - 1)
-        block ^= low
-    return out
-
-
-def _block_runs(block: int) -> list[tuple[int, int]]:
-    """Maximal runs of set bits as ``(start, length)`` pairs."""
-    out: list[tuple[int, int]] = []
-    while block:
-        low = block & -block
-        start = low.bit_length() - 1
-        tail = block >> start
-        length = (tail ^ (tail + 1)).bit_length() - 1
-        out.append((start, length))
-        block &= ~(((1 << length) - 1) << start)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The reference oracle
-# ---------------------------------------------------------------------------
-
-
-class IntBitSet:
-    """The previous single-int implementation, kept as the test oracle.
-
-    A set of non-negative integers backed by one arbitrary-precision
-    Python int.  ``tests/test_bitset_compressed.py`` differentially
-    checks every :class:`BitSet` operation against this class; it is not
-    used on any production path.
-    """
+    """A set of non-negative integers backed by one Python int."""
 
     __slots__ = ("_bits",)
 
@@ -594,7 +96,8 @@ class IntBitSet:
         self._bits = bits
 
     @classmethod
-    def from_bits(cls, bits: int) -> "IntBitSet":
+    def from_bits(cls, bits: int) -> "BitSet":
+        """Build from a raw integer bit mask."""
         if bits < 0:
             raise ValueError("bit mask must be non-negative")
         out = cls.__new__(cls)
@@ -602,13 +105,17 @@ class IntBitSet:
         return out
 
     @classmethod
-    def full(cls, n: int) -> "IntBitSet":
+    def full(cls, n: int) -> "BitSet":
+        """The set {0, 1, ..., n-1}."""
         if n < 0:
             raise ValueError("size must be non-negative")
         return cls.from_bits((1 << n) - 1)
 
+    # -- basic protocol --------------------------------------------------------
+
     @property
     def bits(self) -> int:
+        """The set as one raw integer mask."""
         return self._bits
 
     def __len__(self) -> int:
@@ -628,7 +135,7 @@ class IntBitSet:
             bits ^= low
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, IntBitSet):
+        if isinstance(other, BitSet):
             return self._bits == other._bits
         return NotImplemented
 
@@ -636,7 +143,9 @@ class IntBitSet:
         return hash(self._bits)
 
     def __repr__(self) -> str:
-        return f"IntBitSet({{{', '.join(map(str, self))}}})"
+        return f"BitSet({{{', '.join(map(str, self))}}})"
+
+    # -- mutation --------------------------------------------------------------
 
     def add(self, i: int) -> None:
         if i < 0:
@@ -647,66 +156,100 @@ class IntBitSet:
         if i >= 0:
             self._bits &= ~(1 << i)
 
-    def union_update(self, other: "IntBitSet") -> None:
+    def union_update(self, other: "BitSet") -> None:
+        """In-place union: add every member of ``other`` to this set."""
+        _KERNEL.unions += 1
         self._bits |= other._bits
 
     def clear_bit(self, i: int) -> bool:
+        """Remove ``i`` from the set; return whether it was present.
+
+        The incremental updater uses the return value to count how many
+        occurrence columns a removal actually cleared.
+        """
         if i < 0 or (self._bits >> i) & 1 == 0:
             return False
-        self._bits &= ~(1 << i)
+        self._bits ^= 1 << i
         return True
 
-    def difference_update(self, other: "IntBitSet") -> None:
+    def difference_update(self, other: "BitSet") -> None:
+        """In-place difference: remove every member of ``other``."""
+        _KERNEL.differences += 1
         self._bits &= ~other._bits
 
-    def __and__(self, other: "IntBitSet") -> "IntBitSet":
-        return IntBitSet.from_bits(self._bits & other._bits)
+    # -- set algebra -----------------------------------------------------------
 
-    def __or__(self, other: "IntBitSet") -> "IntBitSet":
-        return IntBitSet.from_bits(self._bits | other._bits)
+    def __and__(self, other: "BitSet") -> "BitSet":
+        _KERNEL.intersections += 1
+        return BitSet.from_bits(self._bits & other._bits)
 
-    def __xor__(self, other: "IntBitSet") -> "IntBitSet":
-        return IntBitSet.from_bits(self._bits ^ other._bits)
+    def __or__(self, other: "BitSet") -> "BitSet":
+        _KERNEL.unions += 1
+        return BitSet.from_bits(self._bits | other._bits)
 
-    def __sub__(self, other: "IntBitSet") -> "IntBitSet":
-        return IntBitSet.from_bits(self._bits & ~other._bits)
+    def __xor__(self, other: "BitSet") -> "BitSet":
+        return BitSet.from_bits(self._bits ^ other._bits)
 
-    def intersection(self, other: "IntBitSet") -> "IntBitSet":
+    def __sub__(self, other: "BitSet") -> "BitSet":
+        _KERNEL.differences += 1
+        return BitSet.from_bits(self._bits & ~other._bits)
+
+    def intersection(self, other: "BitSet") -> "BitSet":
         return self & other
 
-    def union(self, other: "IntBitSet") -> "IntBitSet":
+    def union(self, other: "BitSet") -> "BitSet":
         return self | other
 
-    def difference(self, other: "IntBitSet") -> "IntBitSet":
+    def difference(self, other: "BitSet") -> "BitSet":
         return self - other
 
-    def isdisjoint(self, other: "IntBitSet") -> bool:
+    def isdisjoint(self, other: "BitSet") -> bool:
         return self._bits & other._bits == 0
 
-    def intersection_count(self, other: "IntBitSet") -> int:
+    def intersection_count(self, other: "BitSet") -> int:
+        """``|self & other|`` without materializing the intersection.
+
+        The hot building block for similarity scoring: overlaps over
+        fragment fingerprints run thousands of times per
+        treelet-prefiltered query.
+        """
+        _KERNEL.intersections += 1
+        _KERNEL.popcounts += 1
         return (self._bits & other._bits).bit_count()
 
-    def overlap(self, other: "IntBitSet") -> int:
-        return (self._bits & other._bits).bit_count()
-
-    def jaccard(self, other: "IntBitSet") -> float:
+    def jaccard(self, other: "BitSet") -> float:
+        """Jaccard similarity ``|A & B| / |A | B|``; two empty sets are
+        identical, so the empty/empty case is defined as ``1.0``."""
+        _KERNEL.jaccards += 1
         union = (self._bits | other._bits).bit_count()
         if union == 0:
             return 1.0
         return (self._bits & other._bits).bit_count() / union
 
-    def issubset(self, other: "IntBitSet") -> bool:
+    def issubset(self, other: "BitSet") -> bool:
         return self._bits & ~other._bits == 0
 
-    def issuperset(self, other: "IntBitSet") -> bool:
+    def issuperset(self, other: "BitSet") -> bool:
         return other.issubset(self)
 
-    def offset(self, k: int) -> "IntBitSet":
+    def offset(self, k: int) -> "BitSet":
+        """A new set with every member shifted up by ``k``.
+
+        Re-bases a shard-local id set onto a global id space (the
+        replication router ORs offset shard answers together).
+        """
         if k < 0:
             raise ValueError(f"offset must be non-negative, got {k}")
-        return IntBitSet.from_bits(self._bits << k)
+        _KERNEL.offsets += 1
+        return BitSet.from_bits(self._bits << k)
 
-    def compact(self, id_map: Mapping[int, int]) -> "IntBitSet":
+    def compact(self, id_map: Mapping[int, int]) -> "BitSet":
+        """A new set with every member renumbered through ``id_map``.
+
+        Members absent from ``id_map`` are dropped — this is how
+        compaction discards dead occurrence/graph ids while densifying
+        the survivors.
+        """
         bits = 0
         for i in self:
             j = id_map.get(i)
@@ -715,10 +258,11 @@ class IntBitSet:
             if j < 0:
                 raise ValueError(f"compact ids must be non-negative, got {j}")
             bits |= 1 << j
-        return IntBitSet.from_bits(bits)
+        return BitSet.from_bits(bits)
 
-    def copy(self) -> "IntBitSet":
-        return IntBitSet.from_bits(self._bits)
+    def copy(self) -> "BitSet":
+        return BitSet.from_bits(self._bits)
 
     def to_set(self) -> set[int]:
+        """Materialize as a plain Python set (mostly for tests/debugging)."""
         return set(self)

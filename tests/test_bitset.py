@@ -247,7 +247,7 @@ class TestHypothesis:
 
     @given(id_sets, id_sets)
     def test_overlap_matches_intersection_size(self, a, b):
-        assert BitSet(a).overlap(BitSet(b)) == len(a & b)
+        assert BitSet(a).intersection_count(BitSet(b)) == len(a & b)
 
     @given(id_sets, id_sets)
     def test_jaccard_matches_set_definition(self, a, b):

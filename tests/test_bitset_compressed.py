@@ -1,46 +1,39 @@
-"""Property suite: the compressed BitSet against the IntBitSet oracle.
+"""Wide-id property suite: :class:`BitSet` against Python's ``set``.
 
-PR 9 replaced :class:`repro.util.bitset.BitSet`'s single-int internals
-with a roaring-style blocked representation; the old implementation is
-kept verbatim as :class:`repro.util.bitset.IntBitSet` purely so this
-suite can differentially check every operation against it.  Hypothesis
-drives id sets that straddle the 65536-id block boundary, so the
-sorted-array, run-length and dense-bitmap container paths all get
-exercised (one test asserts all three kinds actually occur in the
-serialized form).
+``tests/test_bitset.py`` checks the set algebra over small ids; this
+half of the suite drives Hypothesis id sets that straddle 2**16 and
+reach a few times past it, mixing sparse members with long runs of
+consecutive ids, and checks every operation against the plain ``set``
+answer.
 """
 
 from __future__ import annotations
-
-import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.bitset import (
-    BLOCK_BITS,
-    BitSet,
-    IntBitSet,
-)
+from repro.util.bitset import BitSet
 
-# Big-set cases (full blocks, 200k-member ranges) legitimately take
-# longer than Hypothesis's default 200 ms deadline on shared CI
-# runners; correctness, not latency, is what this suite pins.
+_WIDE = 1 << 16
+
+# Big-set cases (200k-member ranges) can take longer than Hypothesis's
+# default 200 ms deadline on shared CI runners; correctness, not
+# latency, is what this suite pins.
 no_deadline = settings(deadline=None)
 
-# Ids concentrated on the interesting coordinates: small, around the
-# first block boundary, and a couple of blocks out.
+# Ids concentrated on the interesting coordinates: small, around 2**16,
+# and a couple of multiples out.
 _ids = st.one_of(
     st.integers(min_value=0, max_value=192),
-    st.integers(min_value=BLOCK_BITS - 4, max_value=BLOCK_BITS + 4),
-    st.integers(min_value=0, max_value=4 * BLOCK_BITS),
+    st.integers(min_value=_WIDE - 4, max_value=_WIDE + 4),
+    st.integers(min_value=0, max_value=4 * _WIDE),
 )
 
-# A run of consecutive ids (exercises the run-length container).
+# A run of consecutive ids.
 _runs = st.builds(
     lambda start, length: list(range(start, start + length)),
-    st.integers(min_value=0, max_value=2 * BLOCK_BITS),
+    st.integers(min_value=0, max_value=2 * _WIDE),
     st.integers(min_value=1, max_value=300),
 )
 
@@ -53,41 +46,39 @@ _id_sets = st.one_of(
 )
 
 
-def _pair(ids):
-    return BitSet(ids), IntBitSet(ids)
-
-
-def _check(new: BitSet, oracle: IntBitSet) -> None:
-    """The full observational equality battery for one value pair."""
-    assert new.to_set() == oracle.to_set()
-    assert len(new) == len(oracle)
-    assert bool(new) == bool(oracle)
-    assert list(new) == list(oracle)  # both iterate in ascending order
-    assert new.bits == oracle.bits
+def _check(value: BitSet, expected: set[int]) -> None:
+    """The full observational equality battery for one value."""
+    assert value.to_set() == expected
+    assert len(value) == len(expected)
+    assert bool(value) == bool(expected)
+    assert list(value) == sorted(expected)
+    assert value.bits == sum(1 << i for i in expected)
 
 
 class TestConstruction:
     @no_deadline
     @given(_id_sets)
     def test_roundtrip_and_len(self, ids):
-        _check(*_pair(ids))
+        _check(BitSet(ids), ids)
 
     @no_deadline
     @given(_id_sets)
     def test_from_bits_matches(self, ids):
-        oracle = IntBitSet(ids)
-        assert BitSet.from_bits(oracle.bits).to_set() == set(ids)
+        _check(BitSet.from_bits(BitSet(ids).bits), ids)
 
     @no_deadline
-    @given(st.integers(min_value=0, max_value=3 * BLOCK_BITS + 7))
+    @given(st.integers(min_value=0, max_value=3 * _WIDE + 7))
     def test_full(self, n):
-        assert BitSet.full(n).to_set() == IntBitSet.full(n).to_set()
+        full = BitSet.full(n)
+        assert len(full) == n
+        assert full.bits == (1 << n) - 1
+        assert (n - 1 in full) == (n > 0)
+        assert n not in full
 
     @no_deadline
     @given(_id_sets, _ids)
     def test_contains(self, ids, probe):
-        new, oracle = _pair(ids)
-        assert (probe in new) == (probe in oracle)
+        assert (probe in BitSet(ids)) == (probe in ids)
 
     def test_negative_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -100,91 +91,85 @@ class TestBinaryOps:
     @no_deadline
     @given(_id_sets, _id_sets)
     def test_and_or_xor_sub(self, a, b):
-        na, oa = _pair(a)
-        nb, ob = _pair(b)
-        for op in ("__and__", "__or__", "__xor__", "__sub__"):
-            _check(getattr(na, op)(nb), getattr(oa, op)(ob))
+        left, right = BitSet(a), BitSet(b)
+        _check(left & right, a & b)
+        _check(left | right, a | b)
+        _check(left ^ right, a ^ b)
+        _check(left - right, a - b)
 
     @no_deadline
     @given(_id_sets, _id_sets)
     def test_named_aliases(self, a, b):
-        na, oa = _pair(a)
-        nb, ob = _pair(b)
-        assert na.intersection(nb).to_set() == oa.intersection(ob).to_set()
-        assert na.union(nb).to_set() == oa.union(ob).to_set()
-        assert na.difference(nb).to_set() == oa.difference(ob).to_set()
+        left, right = BitSet(a), BitSet(b)
+        assert left.intersection(right).to_set() == a & b
+        assert left.union(right).to_set() == a | b
+        assert left.difference(right).to_set() == a - b
 
     @no_deadline
     @given(_id_sets, _id_sets)
     def test_counting_kernels(self, a, b):
-        na, oa = _pair(a)
-        nb, ob = _pair(b)
-        assert na.intersection_count(nb) == oa.intersection_count(ob)
-        assert na.overlap(nb) == oa.overlap(ob)
-        assert na.jaccard(nb) == pytest.approx(oa.jaccard(ob))
-        assert na.isdisjoint(nb) == oa.isdisjoint(ob)
-        assert na.issubset(nb) == oa.issubset(ob)
-        assert na.issuperset(nb) == oa.issuperset(ob)
+        left, right = BitSet(a), BitSet(b)
+        assert left.intersection_count(right) == len(a & b)
+        expected = 1.0 if not (a | b) else len(a & b) / len(a | b)
+        assert left.jaccard(right) == pytest.approx(expected)
+        assert left.isdisjoint(right) == a.isdisjoint(b)
+        assert left.issubset(right) == (a <= b)
+        assert left.issuperset(right) == (a >= b)
 
     @no_deadline
     @given(_id_sets, _id_sets)
     def test_equality_and_hash(self, a, b):
-        na, nb = BitSet(a), BitSet(b)
-        assert (na == nb) == (set(a) == set(b))
-        if na == nb:
-            assert hash(na) == hash(nb)
+        left, right = BitSet(a), BitSet(b)
+        assert (left == right) == (a == b)
+        if left == right:
+            assert hash(left) == hash(right)
 
 
 class TestMutation:
     @no_deadline
     @given(_id_sets, _ids)
     def test_add_discard(self, ids, extra):
-        new, oracle = _pair(ids)
-        new.add(extra)
-        oracle.add(extra)
-        _check(new, oracle)
-        new.discard(extra)
-        oracle.discard(extra)
-        _check(new, oracle)
+        value = BitSet(ids)
+        value.add(extra)
+        _check(value, ids | {extra})
+        value.discard(extra)
+        _check(value, ids - {extra})
 
     @no_deadline
     @given(_id_sets, _ids)
     def test_clear_bit(self, ids, victim):
-        new, oracle = _pair(ids)
-        assert new.clear_bit(victim) == oracle.clear_bit(victim)
-        _check(new, oracle)
+        value = BitSet(ids)
+        assert value.clear_bit(victim) == (victim in ids)
+        _check(value, ids - {victim})
 
     @no_deadline
     @given(_id_sets, _id_sets)
     def test_union_update(self, a, b):
-        na, oa = _pair(a)
-        na.union_update(BitSet(b))
-        oa.union_update(IntBitSet(b))
-        _check(na, oa)
+        value = BitSet(a)
+        value.union_update(BitSet(b))
+        _check(value, a | b)
 
     @no_deadline
     @given(_id_sets, _id_sets)
     def test_difference_update(self, a, b):
-        na, oa = _pair(a)
-        na.difference_update(BitSet(b))
-        oa.difference_update(IntBitSet(b))
-        _check(na, oa)
+        value = BitSet(a)
+        value.difference_update(BitSet(b))
+        _check(value, a - b)
 
     @no_deadline
     @given(_id_sets)
     def test_copy_is_independent(self, ids):
-        new = BitSet(ids)
-        dup = new.copy()
-        dup.add(3 * BLOCK_BITS + 11)
-        assert new.to_set() == set(ids)
+        value = BitSet(ids)
+        dup = value.copy()
+        dup.add(3 * _WIDE + 11)
+        assert value.to_set() == ids
 
 
 class TestShiftingAndRemapping:
     @settings(max_examples=60, deadline=None)
-    @given(_id_sets, st.integers(min_value=0, max_value=2 * BLOCK_BITS + 3))
+    @given(_id_sets, st.integers(min_value=0, max_value=2 * _WIDE + 3))
     def test_offset(self, ids, k):
-        new, oracle = _pair(ids)
-        _check(new.offset(k), oracle.offset(k))
+        _check(BitSet(ids).offset(k), {i + k for i in ids})
 
     @no_deadline
     @given(_id_sets, st.integers(min_value=0, max_value=40))
@@ -192,57 +177,11 @@ class TestShiftingAndRemapping:
         # A non-monotonic but injective renumbering that drops every
         # third member — the updater's compaction shape.
         id_map = {
-            i: (i * 7 + salt) % (5 * BLOCK_BITS)
+            i: (i * 7 + salt) % (5 * _WIDE)
             for n, i in enumerate(sorted(ids))
             if n % 3 != 0
         }
         if len(set(id_map.values())) != len(id_map):
             id_map = {i: n for n, i in enumerate(sorted(id_map))}
-        new, oracle = _pair(ids)
-        _check(new.compact(id_map), oracle.compact(id_map))
-
-
-class TestSerialization:
-    @no_deadline
-    @given(_id_sets)
-    def test_roundtrip(self, ids):
-        new = BitSet(ids)
-        data = new.to_bytes()
-        back = BitSet.from_bytes(data)
-        assert back == new
-        assert back.to_set() == IntBitSet(ids).to_set()
-
-    def test_all_three_container_kinds_occur(self):
-        sparse = BitSet([1, 77, 300])  # array wins: 3 members
-        dense = BitSet(range(0, BLOCK_BITS, 2))  # bitmap wins
-        contiguous = BitSet(range(500, 5000))  # one run wins
-        kinds = set()
-        for value in (sparse, dense, contiguous):
-            data = value.to_bytes()
-            kinds.add(struct.unpack_from(">IBH", data, 5)[1])
-            assert BitSet.from_bytes(data) == value
-        assert kinds == {0, 1, 2}  # array, runs, bitmap
-
-    def test_boundary_members_roundtrip(self):
-        ids = {0, BLOCK_BITS - 1, BLOCK_BITS, 2 * BLOCK_BITS - 1,
-               2 * BLOCK_BITS}
-        value = BitSet(ids)
-        assert BitSet.from_bytes(value.to_bytes()).to_set() == ids
-
-    def test_empty_roundtrip(self):
-        assert BitSet.from_bytes(BitSet().to_bytes()) == BitSet()
-
-    @no_deadline
-    @given(_id_sets)
-    def test_truncation_rejected(self, ids):
-        data = BitSet(ids).to_bytes()
-        if len(data) > 5:
-            with pytest.raises(ValueError):
-                BitSet.from_bytes(data[:-1])
-
-    def test_bad_version_and_trailing_bytes_rejected(self):
-        data = BitSet([1, 2]).to_bytes()
-        with pytest.raises(ValueError):
-            BitSet.from_bytes(b"\x09" + data[1:])
-        with pytest.raises(ValueError):
-            BitSet.from_bytes(data + b"\x00")
+        expected = {id_map[i] for i in ids if i in id_map}
+        _check(BitSet(ids).compact(id_map), expected)

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.core.occurrence_index import OccurrenceColumns
 from repro.core.taxogram import Taxogram, TaxogramOptions
 from repro.exceptions import MiningError, StoreError, TaxonomyError
 from repro.graphs.database import GraphDatabase
@@ -21,7 +22,6 @@ from repro.incremental import (
     DatabaseDelta,
     IncrementalOptions,
     IncrementalTaxogram,
-    OccurrenceColumns,
     PatternStore,
     mine_to_store,
 )

@@ -1,9 +1,9 @@
-"""Tests for occurrence stores and taxonomy-projected occurrence indices."""
+"""Tests for occurrence columns and taxonomy-projected occurrence indices."""
 
 from __future__ import annotations
 
 from repro.core.occurrence_index import (
-    OccurrenceStore,
+    OccurrenceColumns,
     build_occurrence_index,
     generalized_label_supports,
 )
@@ -13,38 +13,38 @@ from repro.mining.gspan import Embedding
 from repro.taxonomy.builders import taxonomy_from_parent_names
 
 
-class TestOccurrenceStore:
+class TestOccurrenceColumns:
     def test_add_and_masks(self):
-        store = OccurrenceStore()
-        assert store.add(0, (1, 2)) == 0
-        assert store.add(0, (2, 1)) == 1
-        assert store.add(3, (0, 1)) == 2
-        assert len(store) == 3
-        assert store.all_bits == 0b111
+        columns = OccurrenceColumns()
+        assert columns.append(0, (1, 2)) == 0
+        assert columns.append(0, (2, 1)) == 1
+        assert columns.append(3, (0, 1)) == 2
+        assert len(columns) == 3
+        assert columns.all_bits == 0b111
 
     def test_support_counts_distinct_graphs(self):
-        store = OccurrenceStore()
-        store.add(0, (1,))
-        store.add(0, (2,))
-        store.add(1, (1,))
-        assert store.support_count(0b011) == 1  # both occurrences in graph 0
-        assert store.support_count(0b101) == 2
-        assert store.support_count(0b000) == 0
-        assert store.support_count(store.all_bits) == 2
+        columns = OccurrenceColumns()
+        columns.append(0, (1,))
+        columns.append(0, (2,))
+        columns.append(1, (1,))
+        assert columns.support_count(0b011) == 1  # both occurrences in graph 0
+        assert columns.support_count(0b101) == 2
+        assert columns.support_count(0b000) == 0
+        assert columns.support_count(columns.all_bits) == 2
 
     def test_support_set(self):
-        store = OccurrenceStore()
-        store.add(4, (1,))
-        store.add(9, (1,))
-        assert store.support_set(0b01) == frozenset({4})
-        assert store.support_set(0b11) == frozenset({4, 9})
+        columns = OccurrenceColumns()
+        columns.append(4, (1,))
+        columns.append(9, (1,))
+        assert columns.support_set(0b01) == frozenset({4})
+        assert columns.support_set(0b11) == frozenset({4, 9})
 
     def test_occurrence_ids_paper_notation(self):
-        store = OccurrenceStore()
-        store.add(1, (0,))
-        store.add(1, (1,))
-        store.add(2, (0,))
-        assert store.occurrence_ids(0b111) == ["G1.1", "G1.2", "G2.1"]
+        columns = OccurrenceColumns()
+        columns.append(1, (0,))
+        columns.append(1, (1,))
+        columns.append(2, (0,))
+        assert columns.occurrence_ids(0b111) == ["G1.1", "G1.2", "G2.1"]
 
 
 def _tax():

@@ -63,6 +63,29 @@ class TestPublicAPI:
         assert "fence_state" in repro.incremental.__all__
         assert callable(repro.incremental.fence_state)
 
+    def test_import_leaves_subsystems_unloaded(self):
+        # ``import repro`` resolves its exports lazily, so a process
+        # that needs one subsystem does not pay for the others.
+        subsystems = (
+            "repro.serving",
+            "repro.replication",
+            "repro.similarity",
+            "repro.sessions",
+            "repro.parallel",
+        )
+        code = (
+            "import sys, repro; "
+            f"print([m for m in {subsystems!r} if m in sys.modules])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_python_dash_m_entrypoint(self):
         result = subprocess.run(
             [sys.executable, "-m", "repro", "datasets"],

@@ -2,12 +2,15 @@
 
 A worker subprocess drains a prepared WAL batch by batch while the
 parent SIGKILLs it at randomized instants — during shadow copies,
-incremental applies, swaps, or between batches.  After every kill the
-parent asserts the recovery invariant (the store directory repairs to a
-complete, checksum-clean store) and relaunches; once the WAL is fully
-applied, the surviving store must be semantically identical to offline
-one-by-one application of the same records — same database, class
-codes, live occurrences, and negative border.
+incremental applies, swaps, or between batches.  Each kill delay is
+drawn after the worker reports that it started applying, so the kills
+land mid-apply however long the interpreter takes to start.  After
+every kill the parent asserts the recovery invariant (the store
+directory repairs to a complete, checksum-clean store) and relaunches;
+once the WAL is fully applied, the surviving store must be
+semantically identical to offline one-by-one application of the same
+records — same database, class codes, live occurrences, and negative
+border.
 
 The in-process test at the bottom covers the reader side: queries
 running concurrently with live batches only ever observe committed
@@ -47,6 +50,7 @@ with WriteAheadLog(wal_dir) as wal:
     applier = StreamApplier(
         store_dir, wal, ApplierOptions(max_batch_records=2)
     )
+    print("applying", flush=True)
     while applier.apply_next_batch():
         time.sleep(0.03)
 print("drained", applier.applied_seq)
@@ -99,8 +103,16 @@ def _run_with_kills(tmp_path, store_dir, wal_dir, rng, max_rounds=40):
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
+            # Unbuffered: readline() below must not pull later output
+            # into a buffer that communicate() does not see.
+            bufsize=0,
         )
-        time.sleep(rng.uniform(0.0, 0.35))
+        # Blocks until the worker starts applying (or exits early).  A
+        # full drain of the 10-record WAL pauses 30 ms after each of its
+        # five batches, so a delay under 0.15 s lands mid-drain on any
+        # machine; resumed workers drain less and may finish first.
+        proc.stdout.readline()
+        time.sleep(rng.uniform(0.0, 0.15))
         if proc.poll() is None:
             proc.kill()
             proc.wait()
