@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--directed",
         action="store_true",
         help="parse the database as directed ('a' arc records) and mine "
-        "with the directed pipeline",
+        "weakly connected directed patterns (taxogram/baseline only)",
     )
     mine.add_argument(
         "--store-out",
@@ -819,6 +819,13 @@ def _emit_report(args: argparse.Namespace, report: RunReport) -> None:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
+    if args.directed and args.algorithm == "tacgm":
+        print(
+            "error: --directed supports only the taxogram algorithm "
+            "and its baseline",
+            file=sys.stderr,
+        )
+        return 1
     if args.workers > 1 and (args.algorithm == "tacgm" or args.directed):
         print(
             "error: --workers applies only to the undirected "
@@ -850,10 +857,12 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     taxonomy = read_taxonomy(args.taxonomy)
-    if args.directed:
-        return _cmd_mine_directed(args, taxonomy)
     tracer = Tracer() if _wants_report(args) else None
-    database = read_graph_database(args.database, node_labels=taxonomy.interner)
+    if args.directed:
+        from repro.directed.io import read_digraph_database as read_database
+    else:
+        read_database = read_graph_database
+    database = read_database(args.database, node_labels=taxonomy.interner)
     if args.algorithm == "tacgm":
         result = TAcGM(
             TAcGMOptions(
@@ -888,43 +897,18 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     print(result.summary())
     shown = result.patterns if args.limit == 0 else result.patterns[: args.limit]
     for pattern in shown:
-        print(
-            " ",
-            format_pattern(pattern, taxonomy.interner, database.edge_labels),
-        )
-    hidden = len(result.patterns) - len(shown)
-    if hidden > 0:
-        print(f"  ... and {hidden} more (use --limit 0 to print all)")
-    if _wants_report(args):
-        _emit_report(args, _result_report(result))
-    return 0
-
-
-def _cmd_mine_directed(args: argparse.Namespace, taxonomy) -> int:
-    from repro.directed.io import read_digraph_database
-    from repro.directed.taxogram import mine_directed
-
-    if args.algorithm != "taxogram":
-        print(
-            "error: --directed supports only the taxogram algorithm",
-            file=sys.stderr,
-        )
-        return 1
-    database = read_digraph_database(
-        args.database, node_labels=taxonomy.interner
-    )
-    result = mine_directed(
-        database, taxonomy, min_support=args.support, max_edges=args.max_edges
-    )
-    print(result.summary())
-    shown = result.patterns if args.limit == 0 else result.patterns[: args.limit]
-    for pattern in shown:
-        arcs = ", ".join(
-            f"{taxonomy.name_of(pattern.graph.node_label(s))}"
-            f"->{taxonomy.name_of(pattern.graph.node_label(t))}"
-            for s, t, _l in pattern.graph.arcs()
-        )
-        print(f"  [{arcs}] sup={pattern.support:.3f}")
+        if args.directed:
+            arcs = ", ".join(
+                f"{taxonomy.name_of(pattern.graph.node_label(s))}"
+                f"->{taxonomy.name_of(pattern.graph.node_label(t))}"
+                for s, t, _l in pattern.graph.arcs()
+            )
+            print(f"  [{arcs}] sup={pattern.support:.3f}")
+        else:
+            print(
+                " ",
+                format_pattern(pattern, taxonomy.interner, database.edge_labels),
+            )
     hidden = len(result.patterns) - len(shown)
     if hidden > 0:
         print(f"  ... and {hidden} more (use --limit 0 to print all)")

@@ -127,6 +127,9 @@ def relabel_database(
 ) -> RelabeledDatabase:
     """Run Step 1; raises :class:`TaxonomyError` for unknown node labels.
 
+    ``database`` may also be a
+    :class:`~repro.directed.digraph.DiGraphDatabase`.
+
     Time and space are ``O(|D| * |Gmax|)`` as in the paper: one pass over
     every node plus the retained original labels.
     """
@@ -134,7 +137,7 @@ def relabel_database(
     for label in used_labels:
         if label not in taxonomy:
             raise TaxonomyError(
-                f"database node label {database.node_label_name(label)!r} "
+                f"database node label {database.node_labels.name_of(label)!r} "
                 "is not a taxonomy concept"
             )
     working, most_general = repair_taxonomy(taxonomy, root_name)

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Callable
-
 from repro.core.occurrence_index import OccurrenceColumns, OccurrenceIndex
 from repro.core.results import MiningCounters, TaxonomyPattern
 from repro.graphs.graph import Graph
@@ -69,14 +67,13 @@ def specialize_class(
     database_size: int,
     options: SpecializerOptions,
     counters: MiningCounters,
-    canonical: Callable = min_dfs_code,
 ) -> list[TaxonomyPattern]:
     """All frequent, non-over-generalized members of one pattern class.
 
-    ``canonical`` computes the canonical code used to deduplicate
-    automorphic label assignments; the default handles undirected
-    patterns, the directed pipeline passes
-    :func:`repro.directed.dfs_code.min_directed_dfs_code`.
+    ``structure`` is a :class:`Graph` or a
+    :class:`~repro.directed.digraph.DiGraph`;
+    :func:`~repro.mining.dfs_code.min_dfs_code` canonicalizes either to
+    deduplicate automorphic label assignments.
     """
     num_positions = structure.num_nodes
     base_labels = [structure.node_label(i) for i in range(num_positions)]
@@ -101,7 +98,7 @@ def specialize_class(
         pattern_graph = structure.copy()
         for position, label in enumerate(labels):
             pattern_graph.relabel_node(position, label)
-        code = canonical(pattern_graph)
+        code = min_dfs_code(pattern_graph)
         if code in emitted:
             return  # automorphism duplicate of an already-emitted pattern
         emitted[code] = TaxonomyPattern(

@@ -17,6 +17,11 @@ baseline algorithm does not utilize efficiency enhancements"; use
 
 Classes stream through Step 3 one at a time (gSpan's DFS order), so peak
 memory holds a single occurrence index — the paper's Lemma 4 bound.
+
+The same pipeline mines a :class:`~repro.directed.digraph.DiGraphDatabase`
+(the paper's §4.1 directed case): relabeling and specialization never look
+at edges, and gSpan grows weakly connected digraph patterns.  Directed
+databases mine in-process only, without ``workers`` or ``store_out``.
 """
 
 from __future__ import annotations
@@ -117,7 +122,8 @@ class Taxogram:
         taxonomy: Taxonomy,
         tracer: Tracer | None = None,
     ) -> TaxogramResult:
-        """Mine the complete, minimal frequent pattern set of ``database``.
+        """Mine the complete, minimal frequent pattern set of ``database``
+        (a :class:`GraphDatabase` or a directed one).
 
         ``tracer`` opts into phase spans (see :mod:`repro.observability`);
         ``None`` mines with the zero-overhead disabled tracer.  Either
@@ -127,6 +133,13 @@ class Taxogram:
         if options.workers < 1:
             raise MiningError(
                 f"workers must be at least 1, got {options.workers}"
+            )
+        if database.directed and (
+            options.workers > 1 or options.store_out is not None
+        ):
+            raise MiningError(
+                "directed databases mine in-process only: workers and "
+                "store_out are not supported"
             )
         if options.store_out is not None:
             from repro.incremental.pipeline import mine_to_store
@@ -231,6 +244,8 @@ class Taxogram:
         stage_seconds["specialize"] = specialize.elapsed
 
         algorithm = "taxogram" if _any_enhancement(options) else "baseline"
+        if database.directed:
+            algorithm += "-directed"
         return TaxogramResult(
             patterns=patterns,
             database_size=len(database),

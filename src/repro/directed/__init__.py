@@ -3,21 +3,16 @@
 The paper notes (§4.1) that "Taxogram can handle both directed and
 undirected graphs, but since the current implementation is built upon
 gSpan's implementation and gSpan does not support directed graphs, all
-the experimental data sets consist of undirected graphs."  This package
-removes that limitation: a directed graph type, directed DFS codes with
-a minimum-code canonical form, a directed gSpan, directed (generalized)
-subgraph isomorphism, and a directed Taxogram pipeline reusing the
-occurrence-index and specializer machinery of :mod:`repro.core`.
+the experimental data sets consist of undirected graphs."  Here the one
+gSpan and DFS-code canonical form of :mod:`repro.mining` carry a
+direction component per DFS edge, so :class:`repro.core.taxogram.Taxogram`
+mines a :class:`DiGraphDatabase` directly.  This package holds the data
+type with its ``a``-record text I/O, and the reference the miner is
+tested against: directed (generalized) subgraph isomorphism and a
+brute-force directed oracle.
 """
 
 from repro.directed.digraph import DiGraph, DiGraphDatabase
-from repro.directed.dfs_code import (
-    DirectedDFSCode,
-    digraph_from_code,
-    is_min_dicode,
-    min_directed_dfs_code,
-)
-from repro.directed.gspan import DirectedGSpanMiner
 from repro.directed.isomorphism import (
     directed_iter_embeddings,
     is_directed_generalized_subgraph_isomorphic,
@@ -33,11 +28,6 @@ from repro.directed.taxogram import mine_directed, mine_directed_with_oracle
 __all__ = [
     "DiGraph",
     "DiGraphDatabase",
-    "DirectedDFSCode",
-    "min_directed_dfs_code",
-    "is_min_dicode",
-    "digraph_from_code",
-    "DirectedGSpanMiner",
     "directed_iter_embeddings",
     "is_directed_generalized_subgraph_isomorphic",
     "mine_directed",

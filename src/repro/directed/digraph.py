@@ -22,6 +22,8 @@ class DiGraph:
 
     __slots__ = ("graph_id", "_labels", "_out", "_in")
 
+    directed = True
+
     def __init__(self, graph_id: int = -1) -> None:
         self.graph_id = graph_id
         self._labels: list[int] = []
@@ -127,6 +129,37 @@ class DiGraph:
             for target, label in targets.items():
                 yield (source, target, label)
 
+    def host_adjacency(self) -> tuple[list[list], list[dict]]:
+        """:meth:`repro.graphs.graph.Graph.host_adjacency` for arcs.
+
+        Each arc appears once from each endpoint.  Its tail is ``(arc
+        label, label of w, d)`` with ``d = 1`` when the arc leaves ``v``
+        and ``d = 0`` when it enters ``v``; its key is ``(source,
+        target)``.  Out-arcs precede in-arcs, so ``links[v][w]`` lists
+        ``v -> w`` before ``w -> v``.
+        """
+        labels = self._labels
+        shared: dict[tuple, tuple] = {}
+        incidence: list[list] = []
+        links: list[dict] = []
+        for v in range(len(labels)):
+            entries = []
+            pairs: dict[int, tuple] = {}
+            for arcs, d in ((self._out[v], 1), (self._in[v], 0)):
+                for w, label in arcs.items():
+                    tail = (label, labels[w], d)
+                    key = (v, w) if d else (w, v)
+                    entry = (
+                        w,
+                        shared.setdefault(tail, tail),
+                        shared.setdefault(key, key),
+                    )
+                    entries.append(entry)
+                    pairs[w] = pairs.get(w, ()) + (entry,)
+            incidence.append(entries)
+            links.append(pairs)
+        return incidence, links
+
     def is_weakly_connected(self) -> bool:
         """Connectivity of the underlying undirected skeleton."""
         n = len(self._labels)
@@ -144,6 +177,9 @@ class DiGraph:
                     count += 1
                     stack.append(v)
         return count == n
+
+    # Connectivity in the sense min_dfs_code and gSpan need.
+    is_connected = is_weakly_connected
 
     def copy(self, graph_id: int | None = None) -> "DiGraph":
         out = DiGraph(self.graph_id if graph_id is None else graph_id)
@@ -178,6 +214,8 @@ class DiGraphDatabase:
     """An indexed list of :class:`DiGraph` with shared label interners."""
 
     __slots__ = ("node_labels", "edge_labels", "_graphs")
+
+    directed = True
 
     def __init__(
         self,

@@ -1,15 +1,13 @@
-"""Directed Taxogram: the full three-stage pipeline on digraphs.
+"""Directed Taxogram: the main pipeline on digraphs, and its oracle.
 
-Steps 1 and 3 of Taxogram are direction-agnostic — relabeling touches
-node labels only, and specialized-pattern enumeration works on
-occurrence indices regardless of what structure produced them.  Only
-Step 2's substrate miner and the canonical form change; this module
-wires :class:`repro.directed.gspan.DirectedGSpanMiner` and
-:func:`repro.directed.dfs_code.min_directed_dfs_code` into the shared
-:mod:`repro.core` machinery.
+:func:`mine_directed` is :class:`repro.core.taxogram.Taxogram` with its
+default enhancements on a :class:`DiGraphDatabase`; the one gSpan and
+canonical form in :mod:`repro.mining` carry a direction component per
+DFS edge.
 
-A brute-force directed oracle (:func:`mine_directed_with_oracle`)
-provides the same correctness backstop the undirected pipeline has.
+A brute-force directed oracle (:func:`mine_directed_with_oracle`),
+built on the directed VF2 of :mod:`repro.directed.isomorphism`, provides
+the same correctness backstop the undirected pipeline has.
 """
 
 from __future__ import annotations
@@ -17,21 +15,14 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator
 
-from repro.core.occurrence_index import (
-    build_occurrence_index,
-    generalized_label_supports,
-)
 from repro.core.relabel import repair_taxonomy
 from repro.core.results import MiningCounters, TaxogramResult, TaxonomyPattern
-from repro.core.specializer import SpecializerOptions, specialize_class
-from repro.directed.dfs_code import DirectedDFSCode, min_directed_dfs_code
+from repro.core.taxogram import Taxogram, TaxogramOptions
 from repro.directed.digraph import DiGraph, DiGraphDatabase
-from repro.directed.gspan import DirectedGSpanMiner, DirectedMinedPattern
 from repro.directed.isomorphism import is_directed_generalized_isomorphic
-from repro.exceptions import TaxonomyError
+from repro.mining.dfs_code import DFSCode, min_dfs_code
 from repro.mining.gspan import min_support_count
 from repro.taxonomy.taxonomy import ARTIFICIAL_ROOT_NAME, Taxonomy
-from repro.util.timing import Stopwatch
 
 __all__ = ["mine_directed", "mine_directed_with_oracle"]
 
@@ -43,90 +34,13 @@ def mine_directed(
     max_edges: int | None = None,
     artificial_root_name: str = ARTIFICIAL_ROOT_NAME,
 ) -> TaxogramResult:
-    """Taxogram over a directed graph database.
-
-    Runs with the default efficiency enhancements (a)–(c); enhancement
-    (d) (taxonomy contraction) applies identically to digraphs via the
-    shared taxonomy machinery but is kept off here for simplicity of the
-    directed entry point.
-    """
-    counters = MiningCounters()
-    stage_seconds: dict[str, float] = {}
-
-    prepare = Stopwatch()
-    with prepare:
-        used_labels = database.distinct_node_labels()
-        for label in used_labels:
-            if label not in taxonomy:
-                raise TaxonomyError(
-                    f"database node label "
-                    f"{database.node_labels.name_of(label)!r} is not a "
-                    "taxonomy concept"
-                )
-        working, most_general = repair_taxonomy(taxonomy, artificial_root_name)
-        dmg = database.copy()
-        originals: list[list[int]] = []
-        for graph in dmg:
-            originals.append(graph.node_labels())
-            for v in graph.nodes():
-                graph.relabel_node(v, most_general[graph.node_label(v)])
-        min_count = min_support_count(min_support, len(database))
-        supports = _directed_label_supports(database, working)
-        allowed = frozenset(
-            label for label, count in supports.items() if count >= min_count
-        )
-    stage_seconds["relabel"] = prepare.elapsed
-
-    patterns: list[TaxonomyPattern] = []
-    specialize = Stopwatch()
-    spec_options = SpecializerOptions()
-
-    def on_class(mined: DirectedMinedPattern) -> None:
-        with specialize:
-            counters.pattern_classes += 1
-            counters.embedding_extensions += len(mined.embeddings)
-            store, index = build_occurrence_index(
-                mined.code.num_vertices,
-                mined.embeddings,
-                originals,
-                working,
-                allowed,
-                counters,
-            )
-            patterns.extend(
-                specialize_class(
-                    class_id=counters.pattern_classes - 1,
-                    structure=mined.graph,
-                    store=store,
-                    index=index,
-                    taxonomy=working,
-                    min_count=min_count,
-                    database_size=len(database),
-                    options=spec_options,
-                    counters=counters,
-                    canonical=min_directed_dfs_code,
-                )
-            )
-
-    total = Stopwatch()
-    with total:
-        DirectedGSpanMiner(
-            dmg,
-            min_support=min_support,
-            max_edges=max_edges,
-            keep_embeddings=False,
-        ).mine(report=on_class)
-    stage_seconds["mine_classes"] = max(0.0, total.elapsed - specialize.elapsed)
-    stage_seconds["specialize"] = specialize.elapsed
-
-    return TaxogramResult(
-        patterns=patterns,
-        database_size=len(database),
+    """Taxogram over a directed graph database, default enhancements."""
+    options = TaxogramOptions(
         min_support=min_support,
-        algorithm="taxogram-directed",
-        counters=counters,
-        stage_seconds=stage_seconds,
+        max_edges=max_edges,
+        artificial_root_name=artificial_root_name,
     )
+    return Taxogram(options).mine(database, taxonomy)
 
 
 def mine_directed_with_oracle(
@@ -140,13 +54,13 @@ def mine_directed_with_oracle(
     working, _mg = repair_taxonomy(taxonomy, artificial_root_name)
     min_count = min_support_count(min_support, len(database))
 
-    supports: dict[DirectedDFSCode, set[int]] = {}
-    graphs_by_code: dict[DirectedDFSCode, DiGraph] = {}
+    supports: dict[DFSCode, set[int]] = {}
+    graphs_by_code: dict[DFSCode, DiGraph] = {}
     for graph in database:
-        seen_here: set[DirectedDFSCode] = set()
+        seen_here: set[DFSCode] = set()
         for subgraph in _weakly_connected_arc_subgraphs(graph, max_edges):
             for generalized in _generalizations(subgraph, working):
-                code = min_directed_dfs_code(generalized)
+                code = min_dfs_code(generalized)
                 if code in seen_here:
                     continue
                 seen_here.add(code)
@@ -159,8 +73,8 @@ def mine_directed_with_oracle(
         if len(gids) >= min_count
     }
 
-    overgeneralized: set[DirectedDFSCode] = set()
-    by_support: dict[frozenset[int], list[DirectedDFSCode]] = {}
+    overgeneralized: set[DFSCode] = set()
+    by_support: dict[frozenset[int], list[DFSCode]] = {}
     for code, gids in frequent.items():
         by_support.setdefault(gids, []).append(code)
     for group in by_support.values():
@@ -195,20 +109,6 @@ def mine_directed_with_oracle(
         counters=MiningCounters(),
         stage_seconds={},
     )
-
-
-def _directed_label_supports(
-    database: DiGraphDatabase, taxonomy: Taxonomy
-) -> dict[int, int]:
-    """Generalized size-1 supports (enhancement (b)) for digraph data."""
-    counts: dict[int, int] = {}
-    for graph in database:
-        reached: set[int] = set()
-        for label in set(graph.node_labels()):
-            reached |= taxonomy.ancestors_or_self(label)
-        for label in reached:
-            counts[label] = counts.get(label, 0) + 1
-    return counts
 
 
 def _weakly_connected_arc_subgraphs(

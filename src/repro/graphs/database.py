@@ -22,6 +22,8 @@ class GraphDatabase:
 
     __slots__ = ("node_labels", "edge_labels", "_graphs")
 
+    directed = False
+
     def __init__(
         self,
         node_labels: LabelInterner | None = None,

@@ -27,6 +27,8 @@ class Graph:
 
     __slots__ = ("graph_id", "_labels", "_adj")
 
+    directed = False
+
     def __init__(self, graph_id: int = -1) -> None:
         self.graph_id = graph_id
         self._labels: list[int] = []
@@ -136,6 +138,36 @@ class Graph:
             for v, elabel in nbrs.items():
                 if u < v:
                     yield (u, v, elabel)
+
+    def host_adjacency(self) -> tuple[list[list], list[dict]]:
+        """The adjacency gSpan and the minimum-DFS-code builder grow on.
+
+        Returns ``(incidence, links)``.  ``incidence[v]`` lists one
+        ``(w, tail, key)`` entry per edge at ``v``, in insertion order:
+        ``tail`` is the DFS-edge tail ``(edge label, label of w)`` and
+        ``key`` the edge's identity ``(min(v, w), max(v, w))``.
+        ``links[v][w]`` holds the entries of ``incidence[v]`` that lead
+        to ``w``.  :class:`~repro.directed.digraph.DiGraph` speaks the
+        same protocol with a direction component in each tail.  Equal
+        tails and the two entries of an edge share their tuples: gSpan
+        holds this for every database graph while it mines.
+        """
+        labels = self._labels
+        shared: dict[tuple, tuple] = {}
+        incidence: list[list] = []
+        links: list[dict] = []
+        for v, nbrs in enumerate(self._adj):
+            entries = []
+            pairs = {}
+            for w, elabel in nbrs.items():
+                tail = (elabel, labels[w])
+                key = (v, w) if v < w else (w, v)
+                entry = (w, shared.setdefault(tail, tail), shared.setdefault(key, key))
+                entries.append(entry)
+                pairs[w] = (entry,)
+            incidence.append(entries)
+            links.append(pairs)
+        return incidence, links
 
     def is_connected(self) -> bool:
         """True for the empty graph and any graph with one component."""

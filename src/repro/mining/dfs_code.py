@@ -5,6 +5,13 @@ A DFS code is a sequence of edge 5-tuples ``(i, j, li, le, lj)`` where
 their node labels and ``le`` the edge label.  ``i < j`` marks a *forward*
 edge (discovering vertex ``j``), ``i > j`` a *backward* edge.
 
+Codes of directed graphs (:class:`~repro.directed.digraph.DiGraph`) add
+a direction component: ``(i, j, li, le, lj, d)`` with ``d = 1`` when the
+arc runs along the traversal (``i -> j``) and ``d = 0`` when it runs
+against it.  Traversal crosses arcs either way, so the pattern universe
+is the weakly connected subgraphs.  Everything below serves both kinds
+of graph through their shared ``host_adjacency`` protocol.
+
 Among all DFS codes of a graph, the lexicographically smallest under the
 DFS lexicographic order (Yan & Han 2002) is the *minimum DFS code* — a
 canonical form.  Two connected labeled graphs are isomorphic iff their
@@ -22,7 +29,7 @@ This module provides:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import MiningError
 from repro.graphs.graph import Graph
@@ -37,10 +44,12 @@ __all__ = [
     "is_min_code",
     "min_code_with_embeddings",
     "min_dfs_code",
+    "seed_edges",
 ]
 
-# (i, j, from_label, edge_label, to_label)
-DFSEdge = tuple[int, int, int, int, int]
+# (i, j, from_label, edge_label, to_label), plus a direction component
+# on directed graphs.
+DFSEdge = tuple[int, ...]
 
 
 def dfs_edge_lt(e1: DFSEdge, e2: DFSEdge) -> bool:
@@ -54,7 +63,7 @@ def dfs_edge_lt(e1: DFSEdge, e2: DFSEdge) -> bool:
     * two backward edges: smaller ``i`` first, then smaller ``j``, then
       label tuple.
     * two forward edges: smaller ``j`` first, then *larger* ``i``, then
-      label tuple.
+      label tuple (direction last on directed codes).
     """
     i1, j1 = e1[0], e1[1]
     i2, j2 = e2[0], e2[1]
@@ -98,7 +107,8 @@ class DFSCode:
 
     def _derive_vertex_labels(self) -> tuple[int, ...]:
         labels: dict[int, int] = {}
-        for i, j, li, _le, lj in self.edges:
+        for edge in self.edges:
+            i, j, li, lj = edge[0], edge[1], edge[2], edge[4]
             labels.setdefault(i, li)
             labels.setdefault(j, lj)
             if labels[i] != li or labels[j] != lj:
@@ -140,7 +150,7 @@ class DFSCode:
     def extended(self, edge: DFSEdge) -> "DFSCode":
         return DFSCode(self.edges + (edge,))
 
-    def to_graph(self, graph_id: int = -1) -> Graph:
+    def to_graph(self, graph_id: int = -1):
         return graph_from_code(self.edges, graph_id)
 
     def __len__(self) -> int:
@@ -161,15 +171,61 @@ class DFSCode:
         return f"DFSCode({list(self.edges)})"
 
 
-def graph_from_code(edges: Sequence[DFSEdge], graph_id: int = -1) -> Graph:
-    """Materialize the labeled graph a DFS code describes."""
+def graph_from_code(edges: Sequence[DFSEdge], graph_id: int = -1):
+    """Materialize the labeled graph a DFS code describes: a
+    :class:`Graph`, or a :class:`~repro.directed.digraph.DiGraph` for a
+    code with direction components."""
     code = edges if isinstance(edges, DFSCode) else DFSCode(edges)
-    graph = Graph(graph_id)
+    if code.edges and len(code.edges[0]) == 6:
+        from repro.directed.digraph import DiGraph
+
+        graph = DiGraph(graph_id)
+    else:
+        graph = Graph(graph_id)
     for label in code.vertex_labels:
         graph.add_node(label)
-    for i, j, _li, le, _lj in code.edges:
-        graph.add_edge(i, j, le)
+    for edge in code.edges:
+        i, j, le = edge[0], edge[1], edge[3]
+        if len(edge) == 5:
+            graph.add_edge(i, j, le)
+        elif edge[5]:
+            graph.add_arc(i, j, le)
+        else:
+            graph.add_arc(j, i, le)
     return graph
+
+
+def seed_edges(
+    graph, incidence: list, links: list
+) -> Iterator[tuple[DFSEdge, int, int, tuple[int, int]]]:
+    """Every minimal one-edge code of ``graph`` with its embedding.
+
+    ``incidence``/``links`` are ``graph.host_adjacency()``.  Yields
+    ``(edge, a, b, key)``: code vertex 0 maps to ``a``, vertex 1 to
+    ``b``.  Each edge is visited once, from the endpoint its key names
+    first, in that orientation and then the mirrored one, keeping
+    whichever is the smaller one-edge code (both when they tie).
+    """
+    labels = graph.node_labels()
+    for a, entries in enumerate(incidence):
+        for b, tail, key in entries:
+            if key[0] != a:
+                continue
+            for _a, mirror, mirror_key in links[b][a]:
+                if mirror_key == key:
+                    break
+            forward = (labels[a],) + tail
+            backward = (labels[b],) + mirror
+            if forward <= backward:
+                yield (0, 1) + forward, a, b, key
+            if backward <= forward:
+                yield (0, 1) + backward, b, a, key
+
+
+def _not_connected(graph) -> MiningError:
+    if graph.directed:
+        return MiningError("digraph is not weakly connected")
+    return MiningError("graph is not connected")
 
 
 # ---------------------------------------------------------------------------
@@ -191,47 +247,29 @@ class _State:
 
     def __init__(self, nodes: tuple[int, ...], used: frozenset[tuple[int, int]]):
         self.nodes = nodes  # code vertex id -> graph node
-        self.used = used  # undirected edge keys already consumed
-
-
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
-def _min_code_steps(graph: Graph) -> "_MinCodeBuilder":
-    return _MinCodeBuilder(graph)
+        self.used = used  # edge keys already consumed
 
 
 class _MinCodeBuilder:
     """Incrementally constructs the minimum DFS code of ``graph``."""
 
-    def __init__(self, graph: Graph) -> None:
+    def __init__(self, graph) -> None:
         self.graph = graph
+        self.incidence, self.links = graph.host_adjacency()
         self.code: list[DFSEdge] = []
         self.vertex_labels: list[int] = []
         self.states: list[_State] = []
         self._start()
 
     def _start(self) -> None:
-        graph = self.graph
         best: DFSEdge | None = None
         states: list[_State] = []
-        for u, v, elabel in graph.edges():
-            for a, b in ((u, v), (v, u)):
-                cand: DFSEdge = (
-                    0,
-                    1,
-                    graph.node_label(a),
-                    elabel,
-                    graph.node_label(b),
-                )
-                if best is None or cand[2:] < best[2:]:
-                    best = cand
-                    states = []
-                if cand == best:
-                    states.append(
-                        _State((a, b), frozenset((_edge_key(a, b),)))
-                    )
+        for cand, a, b, key in seed_edges(self.graph, self.incidence, self.links):
+            if best is None or cand[2:] < best[2:]:
+                best = cand
+                states = []
+            if cand == best:
+                states.append(_State((a, b), frozenset((key,))))
         if best is None:
             return  # edgeless graph: empty code
         self.code.append(best)
@@ -247,7 +285,7 @@ class _MinCodeBuilder:
         if best is None:
             best = self._min_forward(rmpath)
         if best is None:
-            raise MiningError("graph is not connected")
+            raise _not_connected(self.graph)
         edge, new_states = best
         self.code.append(edge)
         if edge[0] < edge[1]:  # forward discovers a vertex
@@ -258,33 +296,25 @@ class _MinCodeBuilder:
     def _min_backward(
         self, rmpath: tuple[int, ...]
     ) -> tuple[DFSEdge, list[_State]] | None:
-        graph = self.graph
+        links = self.links
         rm = rmpath[-1]
+        label_rm = self.vertex_labels[rm]
         best: DFSEdge | None = None
         best_states: list[_State] = []
         for state in self.states:
-            g_rm = state.nodes[rm]
+            between = links[state.nodes[rm]]
             for j in rmpath[:-1]:
-                g_j = state.nodes[j]
-                if not graph.has_edge(g_rm, g_j):
-                    continue
-                key = _edge_key(g_rm, g_j)
-                if key in state.used:
-                    continue
-                cand: DFSEdge = (
-                    rm,
-                    j,
-                    self.vertex_labels[rm],
-                    graph.edge_label(g_rm, g_j),
-                    self.vertex_labels[j],
-                )
-                if best is None or dfs_edge_lt(cand, best):
-                    best = cand
-                    best_states = []
-                if cand == best:
-                    best_states.append(
-                        _State(state.nodes, state.used | {key})
-                    )
+                for _w, tail, key in between.get(state.nodes[j], ()):
+                    if key in state.used:
+                        continue
+                    cand: DFSEdge = (rm, j, label_rm) + tail
+                    if best is None or dfs_edge_lt(cand, best):
+                        best = cand
+                        best_states = []
+                    if cand == best:
+                        best_states.append(
+                            _State(state.nodes, state.used | {key})
+                        )
         if best is None:
             return None
         return best, best_states
@@ -292,7 +322,7 @@ class _MinCodeBuilder:
     def _min_forward(
         self, rmpath: tuple[int, ...]
     ) -> tuple[DFSEdge, list[_State]] | None:
-        graph = self.graph
+        incidence = self.incidence
         new_id = len(self.vertex_labels)
         best: DFSEdge | None = None
         best_states: list[_State] = []
@@ -300,28 +330,19 @@ class _MinCodeBuilder:
         # the rightmost vertex toward the root and stop at the first depth
         # with any candidate.
         for i in reversed(rmpath):
+            prefix = (i, new_id, self.vertex_labels[i])
             for state in self.states:
-                g_i = state.nodes[i]
                 mapped = set(state.nodes)
-                for w, elabel in graph.neighbor_items(g_i):
+                for w, tail, key in incidence[state.nodes[i]]:
                     if w in mapped:
                         continue
-                    cand: DFSEdge = (
-                        i,
-                        new_id,
-                        self.vertex_labels[i],
-                        elabel,
-                        graph.node_label(w),
-                    )
+                    cand: DFSEdge = prefix + tail
                     if best is None or dfs_edge_lt(cand, best):
                         best = cand
                         best_states = []
                     if cand == best:
                         best_states.append(
-                            _State(
-                                state.nodes + (w,),
-                                state.used | {_edge_key(g_i, w)},
-                            )
+                            _State(state.nodes + (w,), state.used | {key})
                         )
             if best is not None:
                 break
@@ -333,7 +354,7 @@ class _MinCodeBuilder:
 @lru_cache(maxsize=1 << 16)
 def _is_min_code_cached(edges: tuple[DFSEdge, ...]) -> bool:
     graph = graph_from_code(edges)
-    builder = _min_code_steps(graph)
+    builder = _MinCodeBuilder(graph)
     if builder.code[0] != edges[0]:
         return False
     for position in range(1, len(edges)):
@@ -359,8 +380,10 @@ def is_min_code(code: DFSCode | Sequence[DFSEdge]) -> bool:
     return _is_min_code_cached(edges)
 
 
-# structure_key -> canonical code; bounded by wholesale clearing, which
-# beats lru_cache bookkeeping here because hits vastly outnumber
+# (directed, structure_key) -> canonical code.  The flag keeps graphs
+# and digraphs apart: their structure keys coincide whenever every arc
+# runs from a lower to a higher node id.  Bounded by wholesale clearing,
+# which beats lru_cache bookkeeping here because hits vastly outnumber
 # evictions during a mining run.
 _MIN_CODE_CACHE: dict[tuple, DFSCode] = {}
 _MIN_CODE_CACHE_MAX = 1 << 15
@@ -368,33 +391,34 @@ _min_code_hits = 0
 _min_code_misses = 0
 
 
-def min_dfs_code(graph: Graph) -> DFSCode:
-    """The canonical (minimum) DFS code of a connected labeled graph.
+def min_dfs_code(graph) -> DFSCode:
+    """The canonical (minimum) DFS code of a connected labeled graph or
+    a weakly connected digraph.
 
     Raises :class:`MiningError` for disconnected graphs.  An edgeless
     single-vertex graph yields the empty code; since frequent patterns
     always contain an edge this is only relevant to callers using codes
     as general-purpose canonical keys.
 
-    Memoized on :meth:`Graph.structure_key` — equal keys mean identical
-    labeled graphs, hence identical canonical codes.  gSpan enumerates
-    the same candidate graph through many extension orders, so the
-    canonicalization in the specializer's ``finalize`` step hits the
-    cache heavily.
+    Memoized on the graph kind and :meth:`Graph.structure_key` — equal
+    keys mean identical labeled graphs, hence identical canonical codes.
+    gSpan enumerates the same candidate graph through many extension
+    orders, so the canonicalization in the specializer's ``finalize``
+    step hits the cache heavily.
     """
     global _min_code_hits, _min_code_misses
     if graph.num_edges == 0:
         if graph.num_nodes > 1:
-            raise MiningError("graph is not connected")
+            raise _not_connected(graph)
         return DFSCode(())
-    key = graph.structure_key()
+    key = (graph.directed, graph.structure_key())
     cached = _MIN_CODE_CACHE.get(key)
     if cached is not None:
         _min_code_hits += 1
         return cached
     if not graph.is_connected():
-        raise MiningError("graph is not connected")
-    builder = _min_code_steps(graph)
+        raise _not_connected(graph)
+    builder = _MinCodeBuilder(graph)
     while builder.step() is not None:
         pass
     code = DFSCode(builder.code)
@@ -440,12 +464,12 @@ def min_code_with_embeddings(
     """
     if graph.num_edges == 0:
         if graph.num_nodes > 1:
-            raise MiningError("graph is not connected")
+            raise _not_connected(graph)
         embeddings = [(0,)] if graph.num_nodes == 1 else []
         return DFSCode(()), embeddings
     if not graph.is_connected():
-        raise MiningError("graph is not connected")
-    builder = _min_code_steps(graph)
+        raise _not_connected(graph)
+    builder = _MinCodeBuilder(graph)
     while builder.step() is not None:
         pass
     seen: set[tuple[int, ...]] = set()

@@ -13,6 +13,11 @@ argues for the DFS strategy.
 
 Support is the number of distinct database graphs containing at least one
 embedding; patterns have at least one edge.
+
+The same miner mines a :class:`~repro.directed.digraph.DiGraphDatabase`:
+it grows on each graph's ``host_adjacency``, whose label tails carry a
+direction component on digraphs (see :mod:`repro.mining.dfs_code`), so
+patterns there are weakly connected digraphs.
 """
 
 from __future__ import annotations
@@ -24,7 +29,13 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from repro.exceptions import MiningError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
-from repro.mining.dfs_code import DFSCode, DFSEdge, dfs_edge_lt, is_min_code
+from repro.mining.dfs_code import (
+    DFSCode,
+    DFSEdge,
+    dfs_edge_lt,
+    is_min_code,
+    seed_edges,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.results import MiningCounters
@@ -48,8 +59,8 @@ class Embedding:
     """One occurrence of a pattern: a mapping into a database graph.
 
     ``nodes[i]`` is the graph node that DFS-code vertex ``i`` maps to;
-    ``used`` holds the undirected graph-edge keys consumed so far (gSpan
-    never reuses an edge within one embedding).
+    ``used`` holds the keys of the graph edges (or arcs) consumed so far
+    (gSpan never reuses an edge within one embedding).
     """
 
     graph_id: int
@@ -88,7 +99,8 @@ class GSpanMiner:
     Parameters
     ----------
     database:
-        The graph database to mine.
+        The graph database to mine, or a
+        :class:`~repro.directed.digraph.DiGraphDatabase`.
     min_support:
         Fractional support threshold in ``(0, 1]``.
     max_edges:
@@ -132,6 +144,7 @@ class GSpanMiner:
         if max_edges is not None and max_edges < 1:
             raise MiningError("max_edges must be at least 1")
         self.database = database
+        self._hosts = [graph.host_adjacency() for graph in database]
         self.min_support = min_support
         if min_count is not None:
             if min_count < 1:
@@ -179,26 +192,17 @@ class GSpanMiner:
     ) -> Iterable[tuple[DFSEdge, list[Embedding]]]:
         """Frequent one-edge seeds in ascending DFS order.
 
-        A one-edge code ``(0, 1, la, le, lb)`` is minimal iff
-        ``(la, le, lb) <= (lb, le, la)``, i.e. ``la <= lb``; both
-        orientations are embedded when labels are equal.
+        Only minimal one-edge codes are seeded (see
+        :func:`~repro.mining.dfs_code.seed_edges`); an undirected edge
+        with equal endpoint labels embeds in both orientations.
         """
         projections: dict[DFSEdge, list[Embedding]] = {}
-        for graph in self.database:
+        for graph, (incidence, links) in zip(self.database, self._hosts):
             gid = graph.graph_id
-            for u, v, elabel in graph.edges():
-                lu, lv = graph.node_label(u), graph.node_label(v)
-                key = (u, v) if u < v else (v, u)
-                orientations = []
-                if lu <= lv:
-                    orientations.append((u, v, lu, lv))
-                if lv < lu or lu == lv:
-                    orientations.append((v, u, lv, lu))
-                for a, b, la, lb in orientations:
-                    edge: DFSEdge = (0, 1, la, elabel, lb)
-                    projections.setdefault(edge, []).append(
-                        Embedding(gid, (a, b), frozenset((key,)))
-                    )
+            for edge, a, b, key in seed_edges(graph, incidence, links):
+                projections.setdefault(edge, []).append(
+                    Embedding(gid, (a, b), frozenset((key,)))
+                )
         frequent = [
             (edge, embeddings)
             for edge, embeddings in projections.items()
@@ -206,9 +210,7 @@ class GSpanMiner:
         ]
         if self.prune_report is not None:
             for edge, embeddings in projections.items():
-                # Minimal orientation only (la <= lb); the mirrored
-                # orientation is the same non-minimal one-edge code.
-                if edge[2] <= edge[4] and self._support_count(embeddings) < self.min_count:
+                if self._support_count(embeddings) < self.min_count:
                     self.prune_report(
                         (edge,), frozenset(e.graph_id for e in embeddings)
                     )
@@ -271,41 +273,33 @@ class GSpanMiner:
         rmpath = code.rightmost_path
         rm = rmpath[-1]
         vlabels = code.vertex_labels
+        label_rm = vlabels[rm]
         new_id = len(vlabels)
+        hosts = self._hosts
         out: dict[DFSEdge, list[Embedding]] = {}
         for emb in embeddings:
-            graph = self.database[emb.graph_id]
+            incidence, links = hosts[emb.graph_id]
             nodes = emb.nodes
+            used = emb.used
             mapped = set(nodes)
             # Backward extensions: rightmost vertex to rightmost path.
-            g_rm = nodes[rm]
+            between = links[nodes[rm]]
             for j in rmpath[:-1]:
-                g_j = nodes[j]
-                if not graph.has_edge(g_rm, g_j):
-                    continue
-                key = (g_rm, g_j) if g_rm < g_j else (g_j, g_rm)
-                if key in emb.used:
-                    continue
-                edge: DFSEdge = (
-                    rm,
-                    j,
-                    vlabels[rm],
-                    graph.edge_label(g_rm, g_j),
-                    vlabels[j],
-                )
-                out.setdefault(edge, []).append(
-                    Embedding(emb.graph_id, nodes, emb.used | {key})
-                )
+                for _w, tail, key in between.get(nodes[j], ()):
+                    if key in used:
+                        continue
+                    edge: DFSEdge = (rm, j, label_rm) + tail
+                    out.setdefault(edge, []).append(
+                        Embedding(emb.graph_id, nodes, used | {key})
+                    )
             # Forward extensions from every rightmost-path vertex.
             for i in rmpath:
-                g_i = nodes[i]
-                for w, elabel in graph.neighbor_items(g_i):
+                prefix = (i, new_id, vlabels[i])
+                for w, tail, key in incidence[nodes[i]]:
                     if w in mapped:
                         continue
-                    edge = (i, new_id, vlabels[i], elabel, graph.node_label(w))
-                    key = (g_i, w) if g_i < w else (w, g_i)
-                    out.setdefault(edge, []).append(
-                        Embedding(emb.graph_id, nodes + (w,), emb.used | {key})
+                    out.setdefault(prefix + tail, []).append(
+                        Embedding(emb.graph_id, nodes + (w,), used | {key})
                     )
         return out
 

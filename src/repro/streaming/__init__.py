@@ -14,34 +14,49 @@ The streaming layer turns the incremental maintenance of
   ``POST /flush`` and ``GET /lag``.
 """
 
-from repro.streaming.applier import (
-    ApplierOptions,
-    StreamApplier,
-    applied_wal_seq,
-    recover_store,
-)
-from repro.streaming.service import (
-    IngestCore,
-    IngestOptions,
-    IngestService,
-)
-from repro.streaming.wal import (
-    SegmentView,
-    WALRecord,
-    WriteAheadLog,
-    decode_frames,
-)
+import importlib
 
-__all__ = [
-    "ApplierOptions",
-    "IngestCore",
-    "IngestOptions",
-    "IngestService",
-    "SegmentView",
-    "StreamApplier",
-    "WALRecord",
-    "WriteAheadLog",
-    "applied_wal_seq",
-    "decode_frames",
-    "recover_store",
-]
+# Public name -> defining module, resolved on first access (module
+# ``__getattr__`` below) so that ``import repro.streaming.wal`` does not
+# load the service and all of ``repro.serving``.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "repro.streaming.applier": (
+            "ApplierOptions",
+            "StreamApplier",
+            "applied_wal_seq",
+            "recover_store",
+        ),
+        "repro.streaming.service": (
+            "IngestCore",
+            "IngestOptions",
+            "IngestService",
+        ),
+        "repro.streaming.wal": (
+            "SegmentView",
+            "WALRecord",
+            "WriteAheadLog",
+            "decode_frames",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module 'repro.streaming' has no attribute {name!r}"
+        )
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+__all__ = sorted(_EXPORTS)

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.directed.digraph import DiGraph
 from repro.exceptions import MiningError
 from repro.graphs.graph import Graph
 from repro.mining.dfs_code import (
     DFSCode,
+    clear_canonical_caches,
     code_lt,
     dfs_edge_lt,
     graph_from_code,
@@ -170,3 +172,20 @@ class TestMinCode:
         v = rng.randrange(g2.num_nodes)
         g2.relabel_node(v, g2.node_label(v) + 10)  # certainly not isomorphic
         assert min_dfs_code(g) != min_dfs_code(g2)
+
+    @pytest.mark.parametrize("digraph_first", [False, True])
+    def test_graph_and_digraph_keep_apart_in_cache(self, digraph_first):
+        # Every arc runs from a lower to a higher node id, so the two
+        # structure keys coincide; the canonical cache must not.
+        graph = Graph.from_edges([1, 2, 3], [(0, 1, 0), (1, 2, 0)])
+        digraph = DiGraph.from_arcs([1, 2, 3], [(0, 1, 0), (1, 2, 0)])
+        assert graph.structure_key() == digraph.structure_key()
+        clear_canonical_caches()
+        order = [digraph, graph] if digraph_first else [graph, digraph]
+        codes = {id(g): min_dfs_code(g) for g in order}
+        assert codes[id(graph)].edges == ((0, 1, 1, 0, 2), (1, 2, 2, 0, 3))
+        assert codes[id(digraph)].edges == (
+            (0, 1, 1, 0, 2, 1),
+            (1, 2, 2, 0, 3, 1),
+        )
+        assert isinstance(graph_from_code(codes[id(digraph)]), DiGraph)

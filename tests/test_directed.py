@@ -3,19 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.directed.dfs_code import (
-    DirectedDFSCode,
-    digraph_from_code,
-    is_min_dicode,
-    min_directed_dfs_code,
-)
+from repro.core.taxogram import Taxogram, TaxogramOptions
 from repro.directed.digraph import DiGraph, DiGraphDatabase
-from repro.directed.gspan import DirectedGSpanMiner
 from repro.directed.isomorphism import (
     directed_iter_embeddings,
     is_directed_generalized_isomorphic,
@@ -24,6 +19,11 @@ from repro.directed.isomorphism import (
 )
 from repro.directed.taxogram import mine_directed, mine_directed_with_oracle
 from repro.exceptions import GraphError, MiningError, TaxonomyError
+from repro.mining.dfs_code import DFSCode as DirectedDFSCode
+from repro.mining.dfs_code import graph_from_code as digraph_from_code
+from repro.mining.dfs_code import is_min_code as is_min_dicode
+from repro.mining.dfs_code import min_dfs_code as min_directed_dfs_code
+from repro.mining.gspan import GSpanMiner as DirectedGSpanMiner
 from repro.taxonomy.builders import taxonomy_from_parent_names
 from repro.util.interner import LabelInterner
 from tests.conftest import make_random_taxonomy
@@ -267,6 +267,53 @@ class TestDirectedTaxogram:
         oracle = mine_directed_with_oracle(db, tax, sigma, max_edges=2)
         result = mine_directed(db, tax, min_support=sigma, max_edges=2)
         assert result.pattern_codes() == oracle.pattern_codes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def test_driver_configurations_equal_directed_oracle(self, seed):
+        # Digraphs run through the one Taxogram driver, so the baseline,
+        # the disk-backed index and enhancement (d) all apply to them.
+        rng = random.Random(seed)
+        interner = LabelInterner()
+        tax = make_random_taxonomy(
+            rng, interner, rng.randint(3, 7),
+            dag=seed % 2 == 1, multiroot=seed % 5 == 4,
+        )
+        labels = list(tax.labels())
+        db = DiGraphDatabase(node_labels=interner)
+        for _ in range(rng.randint(2, 4)):
+            n = rng.randint(2, 4)
+            names = [interner.name_of(rng.choice(labels)) for _ in range(n)]
+            graph = db.new_graph(names, [])
+            for _ in range(rng.randint(1, 5)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v and not graph.has_arc(u, v):
+                    graph.add_arc(u, v, rng.randrange(2))
+        sigma = rng.choice([0.5, 1.0])
+        expected = mine_directed_with_oracle(
+            db, tax, sigma, max_edges=2
+        ).pattern_codes()
+        default = TaxogramOptions(min_support=sigma, max_edges=2)
+        for algorithm, options in (
+            ("taxogram-directed", default),
+            ("baseline-directed", TaxogramOptions.baseline(sigma, 2)),
+            (
+                "taxogram-directed",
+                replace(default, occurrence_index_backend="disk"),
+            ),
+        ):
+            result = Taxogram(options).mine(db, tax)
+            assert result.algorithm == algorithm
+            assert result.pattern_codes() == expected, options
+
+    def test_workers_and_store_rejected(self, tmp_path):
+        db, tax = self._fixture()
+        for options in (
+            TaxogramOptions(min_support=1.0, workers=2),
+            TaxogramOptions(min_support=1.0, store_out=str(tmp_path / "s")),
+        ):
+            with pytest.raises(MiningError, match="in-process only"):
+                Taxogram(options).mine(db, tax)
 
 
 class TestDirectedLemma2:

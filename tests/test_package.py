@@ -86,6 +86,28 @@ class TestPublicAPI:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_streaming_wal_import_leaves_service_unloaded(self):
+        # ``repro.streaming`` resolves its exports lazily too: a process
+        # that only journals deltas does not load the ingest service or
+        # the serving stack.
+        code = (
+            "import sys, repro.streaming.wal; "
+            "print([m for m in ('repro.streaming.service', 'repro.serving')"
+            " if m in sys.modules])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+        import repro.streaming
+
+        for name in repro.streaming.__all__:
+            assert hasattr(repro.streaming, name), name
+
     def test_python_dash_m_entrypoint(self):
         result = subprocess.run(
             [sys.executable, "-m", "repro", "datasets"],
