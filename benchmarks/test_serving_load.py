@@ -1,14 +1,14 @@
-"""Serving-front A/B under open-loop load (beyond-paper experiment).
+"""The asyncio serving front under open-loop load (beyond-paper
+experiment).
 
-The same mined store is served twice — once by the default asyncio
-front, once by the ``--legacy-threads`` thread-per-connection server —
-and driven with an identical seeded open-loop plan from
-:mod:`repro.loadtest`.  Claims pinned here:
+A mined store is served by ``taxogram serve`` (the asyncio front) and
+driven with a seeded open-loop plan from :mod:`repro.loadtest`.
+Claims pinned here:
 
-* the asyncio front sustains at least comparable throughput to the
-  threaded server under concurrent load (it is usually ahead: one
-  event loop plus a bounded executor beats unbounded thread churn);
-* driven past capacity, the async front's admission control keeps the
+* at an offered 150 rps of top-k queries the front keeps pace: it
+  completes at least 80% of the offered rate inside the default
+  failure envelope;
+* driven past capacity, the front's admission control keeps the
   failure surface clean — every response is a 200 or a 429, never a
   hang, a socket error, or a 500.
 
@@ -69,40 +69,32 @@ def _drive(url: str, *, rate: float, duration: float, workers: int,
     return LoadRunner(url, plan, workers=workers).run()
 
 
-def test_async_front_keeps_pace_with_threads(store_dir):
-    reports = {}
-    for label, legacy in (("async", False), ("threads", True)):
-        process = spawn_serve(store_dir, legacy_threads=legacy)
-        process.start()
-        try:
-            # Warm the reader so neither side pays the first row load.
-            _drive(process.url, rate=20, duration=0.5, workers=4,
-                   seed=1)
-            reports[label] = _drive(
-                process.url, rate=150, duration=3.0, workers=16, seed=42
-            )
-        finally:
-            process.terminate()
+def test_async_front_keeps_pace_with_offered_load(store_dir):
+    rate = 150
+    process = spawn_serve(store_dir)
+    process.start()
+    try:
+        # Warm the reader so the measured run pays no first row load.
+        _drive(process.url, rate=20, duration=0.5, workers=4, seed=1)
+        report = _drive(
+            process.url, rate=rate, duration=3.0, workers=16, seed=42
+        )
+    finally:
+        process.terminate()
     print_header(
-        "serving front A/B (open loop, 150 rps offered)",
+        f"serving front (open loop, {rate} rps offered)",
         f"{'front':>12}  {'ok':>12}  {'rps':>12}  {'p50 ms':>12}  "
         f"{'p99 ms':>12}",
     )
-    for label, report in reports.items():
-        Envelope().check(report)
-        latency = report.as_dict()["latency"]["query"]
-        print_row(
-            label, report.counts["ok"],
-            f"{report.throughput:.1f}",
-            f"{latency['p50_ms']:.2f}", f"{latency['p99_ms']:.2f}",
-        )
-        _record(label, report)
-    # Parity bound, not a strict win: CI machines are noisy and both
-    # fronts clear this offered rate; the interesting signal is the
-    # printed p99 gap and the overload test below.
-    assert reports["async"].throughput >= 0.8 * (
-        reports["threads"].throughput
+    Envelope().check(report)
+    latency = report.as_dict()["latency"]["query"]
+    print_row(
+        "async", report.counts["ok"],
+        f"{report.throughput:.1f}",
+        f"{latency['p50_ms']:.2f}", f"{latency['p99_ms']:.2f}",
     )
+    _record("async", report)
+    assert report.throughput >= 0.8 * rate
 
 
 def test_async_overload_fails_clean(store_dir):

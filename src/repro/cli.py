@@ -385,12 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after handling N requests (testing aid; default: "
         "serve until interrupted)",
     )
-    serve.add_argument(
-        "--legacy-threads",
-        action="store_true",
-        help="serve with the thread-per-request front-end instead of "
-        "the asyncio front (A/B aid for the load harness)",
-    )
 
     ingest = sub.add_parser(
         "ingest",
@@ -462,12 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY",
         help="with --publish, HMAC-sign the replication manifest so "
         "followers can verify its origin",
-    )
-    ingest.add_argument(
-        "--legacy-threads",
-        action="store_true",
-        help="with --serve, use the thread-per-request front-end "
-        "instead of the asyncio front (A/B aid for the load harness)",
     )
     ingest.add_argument(
         "--compress",
@@ -667,11 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         help="spawned service's hard ingest backlog bound",
-    )
-    loadtest.add_argument(
-        "--legacy-threads",
-        action="store_true",
-        help="spawn the service with the thread-per-request front",
     )
     loadtest.add_argument(
         "--report-out",
@@ -924,6 +907,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
         IncrementalTaxogram,
         PatternStore,
     )
+    from repro.streaming.applier import recover_store, shadow_commit
 
     if args.add is None and args.remove is None:
         print(
@@ -931,6 +915,9 @@ def _cmd_update(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    recovery = recover_store(args.store)
+    if recovery != "clean":
+        print(f"recovered store after crash ({recovery})")
     store = PatternStore.open(args.store)
     requested_taxonomy = (
         read_taxonomy(args.taxonomy) if args.taxonomy is not None else None
@@ -948,11 +935,16 @@ def _cmd_update(args: argparse.Namespace) -> int:
         remove_ids=args.remove if args.remove is not None else (),
     )
     tracer = Tracer() if _wants_report(args) else None
-    updater = IncrementalTaxogram(
-        store, IncrementalOptions(full_remine_fraction=args.remine_fraction)
-    )
-    result = updater.apply(delta, tracer)
-    store = updater.store  # a fallback remine swaps in a fresh store
+
+    def apply(shadow):
+        updater = IncrementalTaxogram(
+            shadow,
+            IncrementalOptions(full_remine_fraction=args.remine_fraction),
+        )
+        # A fallback remine swaps in a fresh store object.
+        return updater.apply(delta, tracer), updater.store
+
+    result, store = shadow_commit(args.store, apply)
     print(
         f"applied delta (+{delta.added_count} graphs, "
         f"-{len(delta.remove_ids)} graphs) to {args.store}"
@@ -1161,11 +1153,47 @@ def _install_graceful_shutdown(server):
     return stopped
 
 
+def _say_stopped(args, signalled: bool, action: str) -> None:
+    """The last line a serving command prints before it cleans up."""
+    if args.max_requests is not None:
+        print(f"handled {args.max_requests} requests, exiting")
+    elif signalled:
+        print(f"received shutdown signal, {action}")
+
+
+def _run_threaded_front(args, server, banner, post_banner=None) -> bool:
+    """Drive a :class:`~repro.serving.server.ThreadedHTTPFront`: banner
+    after bind, then ``--max-requests`` requests or ``serve_forever()``
+    until SIGTERM/SIGINT.  Returns whether a shutdown signal arrived."""
+    # Install before the banner: orchestrators treat the banner as
+    # "ready" and may signal immediately after.
+    stopped = (
+        _install_graceful_shutdown(server)
+        if args.max_requests is None
+        else None
+    )
+    print(banner(*server.address))
+    sys.stdout.flush()
+    if post_banner is not None:
+        post_banner()
+    try:
+        if args.max_requests is not None:
+            # Handler threads must outlive handle_request() so the
+            # final response is written before the server closes.
+            server.daemon_threads = False
+            for _ in range(args.max_requests):
+                server.handle_request()
+        else:
+            server.serve_forever()
+    except KeyboardInterrupt:  # pragma: no cover - interactive mode
+        pass
+    return stopped is not None and stopped.is_set()
+
+
 def _run_async_front(args, front, banner, post_banner=None) -> bool:
-    """Drive an :class:`AsyncHTTPFront` the way the threaded commands
-    drive ``serve_forever()``: banner after bind, graceful SIGTERM/
-    SIGINT when running without ``--max-requests``.  Returns whether a
-    shutdown signal arrived."""
+    """Drive an :class:`AsyncHTTPFront` the same way: banner after bind,
+    graceful SIGTERM/SIGINT when running without ``--max-requests``.
+    Returns whether a shutdown signal arrived."""
     import asyncio
     import signal
 
@@ -1203,7 +1231,7 @@ def _run_async_front(args, front, banner, post_banner=None) -> bool:
     return stopped["signal"]
 
 
-def _cmd_serve_async(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import AdmissionController, serve_async
 
     front, reader = serve_async(
@@ -1222,50 +1250,7 @@ def _cmd_serve_async(args: argparse.Namespace) -> int:
             f"classes, {reader.database_size} graphs)"
         ),
     )
-    if args.max_requests is not None:
-        print(f"handled {args.max_requests} requests, exiting")
-    elif signalled:
-        print("received shutdown signal, exiting")
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serving import serve
-
-    if not args.legacy_threads:
-        return _cmd_serve_async(args)
-    server = serve(args.store, host=args.host, port=args.port)
-    reader = server.reader
-    # Install before the banner: orchestrators treat the banner as
-    # "ready" and may signal immediately after.
-    stopped = (
-        _install_graceful_shutdown(server)
-        if args.max_requests is None
-        else None
-    )
-    host, port = server.server_address[:2]
-    print(
-        f"serving {args.store} at http://{host}:{port} "
-        f"(store version {reader.version}, {reader.num_classes} classes, "
-        f"{reader.database_size} graphs)"
-    )
-    sys.stdout.flush()
-    try:
-        if args.max_requests is not None:
-            # Handler threads must outlive handle_request() so the
-            # final response is written before server_close() below.
-            server.daemon_threads = False
-            for _ in range(args.max_requests):
-                server.handle_request()
-            print(f"handled {args.max_requests} requests, exiting")
-        else:
-            server.serve_forever()
-            if stopped.is_set():
-                print("received shutdown signal, exiting")
-    except KeyboardInterrupt:  # pragma: no cover - interactive mode
-        pass
-    finally:
-        server.server_close()
+    _say_stopped(args, signalled, "exiting")
     return 0
 
 
@@ -1273,8 +1258,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.observability import MetricsRegistry
     from repro.streaming import (
         ApplierOptions,
-        IngestOptions,
-        IngestService,
         StreamApplier,
         WriteAheadLog,
     )
@@ -1297,93 +1280,28 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     except CompressionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not args.serve:
-        metrics = MetricsRegistry()
-        with WriteAheadLog(
-            args.wal, metrics=metrics, compress=wal_compress
-        ) as wal:
-            applier = StreamApplier(
-                args.store, wal, applier_options, metrics=metrics
-            )
-            if applier.recovery != "clean":
-                print(f"recovered store after crash ({applier.recovery})")
-            consumed = applier.drain()
-        print(
-            f"applied {consumed} journaled records to {args.store} "
-            f"(applied seq {applier.applied_seq}, lag {applier.lag})"
+    if args.serve:
+        return _cmd_ingest_serve(args, applier_options, wal_compress)
+    metrics = MetricsRegistry()
+    with WriteAheadLog(
+        args.wal, metrics=metrics, compress=wal_compress
+    ) as wal:
+        applier = StreamApplier(
+            args.store, wal, applier_options, metrics=metrics
         )
-        for seq, reason in applier.rejected:
-            print(f"  rejected record {seq}: {reason}")
-        return 0
-
-    if not args.legacy_threads:
-        return _cmd_ingest_async(args, applier_options, wal_compress)
-
-    if args.publish:
-        from repro.replication import PrimaryService
-
-        service = PrimaryService(
-            args.store,
-            args.wal,
-            secret=args.secret,
-            host=args.host,
-            port=args.port,
-            options=IngestOptions(
-                max_lag_records=args.max_lag,
-                wal_compress=wal_compress,
-            ),
-            applier_options=applier_options,
-        )
-    else:
-        service = IngestService(
-            args.store,
-            args.wal,
-            host=args.host,
-            port=args.port,
-            options=IngestOptions(
-                max_lag_records=args.max_lag,
-                wal_compress=wal_compress,
-            ),
-            applier_options=applier_options,
-        )
-    stopped = (
-        _install_graceful_shutdown(service.server)
-        if args.max_requests is None
-        else None
-    )
-    host, port = service.address
-    role = "publishing" if args.publish else "ingesting"
+        if applier.recovery != "clean":
+            print(f"recovered store after crash ({applier.recovery})")
+        consumed = applier.drain()
     print(
-        f"{role} into {args.store} at http://{host}:{port} "
-        f"(wal {args.wal}, store version {service.reader.version}, "
-        f"{service.reader.database_size} graphs)"
+        f"applied {consumed} journaled records to {args.store} "
+        f"(applied seq {applier.applied_seq}, lag {applier.lag})"
     )
-    if service.applier.recovery != "clean":
-        print(f"recovered store after crash ({service.applier.recovery})")
-    sys.stdout.flush()
-    service.start()
-    try:
-        if args.max_requests is not None:
-            service.server.daemon_threads = False
-            for _ in range(args.max_requests):
-                service.server.handle_request()
-            print(f"handled {args.max_requests} requests, exiting")
-        else:
-            service.serve_forever()
-            if stopped.is_set():
-                print("received shutdown signal, flushing applier")
-    except KeyboardInterrupt:  # pragma: no cover - interactive mode
-        pass
-    finally:
-        service.close(drain=True)
-    print(
-        f"applied seq {service.applier.applied_seq}, "
-        f"lag {service.applier.lag}"
-    )
+    for seq, reason in applier.rejected:
+        print(f"  rejected record {seq}: {reason}")
     return 0
 
 
-def _cmd_ingest_async(
+def _cmd_ingest_serve(
     args: argparse.Namespace, applier_options, wal_compress: str | None
 ) -> int:
     from repro.serving import (
@@ -1394,6 +1312,9 @@ def _cmd_ingest_async(
     )
     from repro.streaming import IngestCore, IngestOptions
 
+    options = IngestOptions(
+        max_lag_records=args.max_lag, wal_compress=wal_compress
+    )
     if args.publish:
         from repro.replication import PrimaryCore
 
@@ -1401,20 +1322,14 @@ def _cmd_ingest_async(
             args.store,
             args.wal,
             secret=args.secret,
-            options=IngestOptions(
-                max_lag_records=args.max_lag,
-                wal_compress=wal_compress,
-            ),
+            options=options,
             applier_options=applier_options,
         )
     else:
         core = IngestCore(
             args.store,
             args.wal,
-            options=IngestOptions(
-                max_lag_records=args.max_lag,
-                wal_compress=wal_compress,
-            ),
+            options=options,
             applier_options=applier_options,
         )
     admission = AdmissionController(
@@ -1446,10 +1361,7 @@ def _cmd_ingest_async(
         ),
         post_banner=_post_banner,
     )
-    if args.max_requests is not None:
-        print(f"handled {args.max_requests} requests, exiting")
-    elif signalled:
-        print("received shutdown signal, flushing applier")
+    _say_stopped(args, signalled, "flushing applier")
     core.close(drain=True)
     print(
         f"applied seq {core.applier.applied_seq}, lag {core.applier.lag}"
@@ -1492,31 +1404,18 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         options=options,
         applier_options=ApplierOptions(max_latency_seconds=0.05),
     )
-    stopped = (
-        _install_graceful_shutdown(service.server)
-        if args.max_requests is None
-        else None
-    )
-    host, port = service.address
-    print(
-        f"replicating {args.primary} into {args.store} at "
-        f"http://{host}:{port} (wal {args.wal}, applied seq "
-        f"{service.follower.applied_seq})"
-    )
-    sys.stdout.flush()
-    service.start()
     try:
-        if args.max_requests is not None:
-            service.server.daemon_threads = False
-            for _ in range(args.max_requests):
-                service.server.handle_request()
-            print(f"handled {args.max_requests} requests, exiting")
-        else:
-            service.serve_forever()
-            if stopped.is_set():
-                print("received shutdown signal, exiting")
-    except KeyboardInterrupt:  # pragma: no cover - interactive mode
-        pass
+        signalled = _run_threaded_front(
+            args,
+            service.server,
+            lambda host, port: (
+                f"replicating {args.primary} into {args.store} at "
+                f"http://{host}:{port} (wal {args.wal}, applied seq "
+                f"{service.follower.applied_seq})"
+            ),
+            post_banner=service.start,
+        )
+        _say_stopped(args, signalled, "exiting")
     finally:
         applied = service.follower.applied_seq
         service.close()
@@ -1535,30 +1434,17 @@ def _cmd_route(args: argparse.Namespace) -> int:
             sharded=args.sharded, max_staleness=args.max_staleness
         ),
     )
-    stopped = (
-        _install_graceful_shutdown(service.server)
-        if args.max_requests is None
-        else None
-    )
-    host, port = service.address
     mode = "sharded" if args.sharded else "replicated"
-    print(
-        f"routing over {len(args.replicas)} {mode} replicas at "
-        f"http://{host}:{port}"
-    )
-    sys.stdout.flush()
     try:
-        if args.max_requests is not None:
-            service.server.daemon_threads = False
-            for _ in range(args.max_requests):
-                service.server.handle_request()
-            print(f"handled {args.max_requests} requests, exiting")
-        else:
-            service.serve_forever()
-            if stopped.is_set():
-                print("received shutdown signal, exiting")
-    except KeyboardInterrupt:  # pragma: no cover - interactive mode
-        pass
+        signalled = _run_threaded_front(
+            args,
+            service.server,
+            lambda host, port: (
+                f"routing over {len(args.replicas)} {mode} replicas at "
+                f"http://{host}:{port}"
+            ),
+        )
+        _say_stopped(args, signalled, "exiting")
     finally:
         service.close()
     return 0
@@ -1649,17 +1535,11 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         base_url = args.url
     elif args.wal is not None:
         process = spawn_ingest(
-            args.store,
-            args.wal,
-            max_lag=args.max_lag,
-            legacy_threads=args.legacy_threads,
-            env=env,
+            args.store, args.wal, max_lag=args.max_lag, env=env
         ).start()
         base_url = process.url
     else:
-        process = spawn_serve(
-            args.store, legacy_threads=args.legacy_threads, env=env
-        ).start()
+        process = spawn_serve(args.store, env=env).start()
         base_url = process.url
 
     events = []
@@ -1755,9 +1635,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                 "duration_seconds": args.duration,
                 "mix": args.mix,
                 "fault": args.fault,
-                "front": (
-                    "legacy-threads" if args.legacy_threads else "async"
-                ),
                 "faults_fired": list(injector.fired),
             }
         )

@@ -19,25 +19,45 @@ See docs/API.md ("Incremental mining") for the store format and the
 fallback policy.
 """
 
-from repro.incremental.delta import DatabaseDelta
-from repro.incremental.pipeline import mine_to_store
-from repro.incremental.store import (
-    FORMAT_VERSION,
-    PatternStore,
-    StoredClass,
-    fence_state,
-    taxonomy_fingerprint,
-)
-from repro.incremental.updater import IncrementalOptions, IncrementalTaxogram
+import importlib
 
-__all__ = [
-    "DatabaseDelta",
-    "mine_to_store",
-    "PatternStore",
-    "StoredClass",
-    "FORMAT_VERSION",
-    "fence_state",
-    "taxonomy_fingerprint",
-    "IncrementalOptions",
-    "IncrementalTaxogram",
-]
+# Public name -> defining module, resolved on first access (module
+# ``__getattr__`` below) so that importing one submodule (the WAL needs
+# only ``delta``) does not load the store, the updater and the miner.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "repro.incremental.delta": ("DatabaseDelta",),
+        "repro.incremental.pipeline": ("mine_to_store",),
+        "repro.incremental.store": (
+            "FORMAT_VERSION",
+            "PatternStore",
+            "StoredClass",
+            "fence_state",
+            "taxonomy_fingerprint",
+        ),
+        "repro.incremental.updater": (
+            "IncrementalOptions",
+            "IncrementalTaxogram",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module 'repro.incremental' has no attribute {name!r}"
+        )
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+__all__ = sorted(_EXPORTS)

@@ -7,8 +7,8 @@ scalable reads by shipping the write-ahead log:
 * :mod:`repro.replication.shipper` — the primary side.
   :class:`SegmentShipper` publishes the WAL's segments as verified byte
   ranges plus a signed, versioned manifest (offset watermark, per-
-  segment SHA-256s); :class:`PrimaryService` mounts the endpoints on
-  the ingest service's existing HTTP socket.
+  segment SHA-256s); :class:`PrimaryCore` adds the endpoints to the
+  ingest core's route table, so one socket serves both.
 * :mod:`repro.replication.follower` — the replica side.
   :class:`Follower` pulls segments, verifies checksums, re-journals the
   records into its *own* local WAL and replays them through the
@@ -23,8 +23,8 @@ scalable reads by shipping the write-ahead log:
   ``specializations`` across replicas (or shard-partitioned stores),
   merges exact supports with the :mod:`repro.parallel.merge` bit-set
   re-basing, enforces per-request staleness bounds (429 + Retry-After)
-  and evicts unhealthy replicas.  :class:`RouterService` serves it over
-  HTTP.
+  and evicts unhealthy replicas.  :func:`router_routes` is its HTTP
+  surface and :class:`RouterService` serves it on one socket.
 
 Every routed answer is bit-identical to a single-store
 :class:`~repro.serving.reader.StoreReader` at the same committed offset
@@ -45,10 +45,10 @@ from repro.replication.router import (
     RouterOptions,
     RouterService,
     StaleReplicasError,
+    router_routes,
 )
 from repro.replication.shipper import (
     PrimaryCore,
-    PrimaryService,
     SegmentShipper,
     sign_manifest,
     verify_manifest,
@@ -62,12 +62,12 @@ __all__ = [
     "PrimaryCore",
     "LocalReplica",
     "PrimaryClient",
-    "PrimaryService",
     "QueryRouter",
     "RouterOptions",
     "RouterService",
     "SegmentShipper",
     "StaleReplicasError",
+    "router_routes",
     "sign_manifest",
     "verify_manifest",
 ]

@@ -51,8 +51,9 @@ from repro.observability.metrics import (
 )
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.replication.shipper import verify_manifest
+from repro.serving.endpoints import serving_routes
 from repro.serving.reader import StoreReader
-from repro.serving.server import StoreHTTPServer, StoreRequestHandler
+from repro.serving.server import ThreadedHTTPFront
 from repro.streaming.applier import (
     ApplierOptions,
     StreamApplier,
@@ -504,33 +505,6 @@ class Follower:
         return max(0, self.last_watermark - 1 - self.applied_seq)
 
 
-class FollowerHTTPServer(StoreHTTPServer):
-    """Read-only serving socket with follower liveness in ``/health``."""
-
-    role = "follower"
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        reader: StoreReader,
-        service: "FollowerService",
-    ) -> None:
-        super().__init__(address, reader, handler=StoreRequestHandler)
-        self.service = service
-
-    def health_extras(self) -> dict:
-        follower = self.service.follower
-        error = follower.last_sync_error
-        return {
-            "applied_seq": follower.applied_seq,
-            "source": follower.client.base_url,
-            "watermark": follower.last_watermark,
-            "lag": follower.lag(),
-            "sync_ok": error is None,
-            "sync_error": None if error is None else str(error),
-        }
-
-
 class FollowerService:
     """A follower plus its HTTP face and background sync loop.
 
@@ -569,14 +543,33 @@ class FollowerService:
         self.follower.sync_once()
         self.follower.applier.drain()
         self.reader = StoreReader(store_dir, tracer=tracer)
-        self.server = FollowerHTTPServer((host, port), self.reader, self)
+        self.server = ThreadedHTTPFront(
+            serving_routes(
+                self.reader, role="follower", health_extras=self._health
+            ),
+            host,
+            port,
+        )
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._closed = False
 
     @property
     def address(self) -> tuple[str, int]:
-        return self.server.server_address[0], self.server.server_address[1]
+        return self.server.address
+
+    def _health(self) -> dict:
+        """Follower liveness for ``GET /health``."""
+        follower = self.follower
+        error = follower.last_sync_error
+        return {
+            "applied_seq": follower.applied_seq,
+            "source": follower.client.base_url,
+            "watermark": follower.last_watermark,
+            "lag": follower.lag(),
+            "sync_ok": error is None,
+            "sync_error": None if error is None else str(error),
+        }
 
     def start(self) -> None:
         """Start the background fetch-and-apply loop."""

@@ -7,7 +7,7 @@ similarity ops (``similar`` / ``similarity_score`` /
 HTTP servers (:class:`HTTPReplica`) or in-process readers
 (:class:`LocalReplica`).
 Answers are the *payload* form the HTTP layer serves
-(:func:`repro.serving.server.value_payload`), so a routed answer and a
+(:func:`repro.serving.endpoints.value_payload`), so a routed answer and a
 direct single-store answer are bit-identical after JSON encoding; the
 differential harness pins that.
 
@@ -42,9 +42,12 @@ Two modes:
   exactly (the parallel runtime merges occurrence fragments *before*
   deciding either — shard-local decisions are unavoidably lossy).
 
-:class:`RouterService` exposes the router over HTTP: ``POST /query``
-and ``GET /top`` (both accepting ``min_applied_seq``), ``GET /health``
-listing per-replica liveness, and ``GET /metrics``.
+:func:`router_routes` is the router's HTTP surface as a route table:
+``POST /query`` / ``POST /similar`` and ``GET /top`` (all accepting
+``min_applied_seq``), ``GET /health`` listing per-replica liveness,
+``GET /metrics``, and the session routes of
+:data:`~repro.serving.endpoints.SESSION_ROUTES`.  :class:`RouterService`
+mounts it on the threaded transport behind one socket.
 
 Interactive sessions (PR 10) are replica-local state — the scratch
 workspace and per-tenant caches live in one server's memory — so the
@@ -68,9 +71,7 @@ import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import parse_qs, urlparse
 
 from repro.exceptions import ReplicationError, ReproError
 from repro.observability.metrics import (
@@ -79,8 +80,16 @@ from repro.observability.metrics import (
 )
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.parallel.merge import merge_support_sets
+from repro.serving.endpoints import (
+    SESSION_ROUTES,
+    Endpoint,
+    HTTPRequest,
+    HTTPResult,
+    RouteTable,
+    value_payload,
+)
 from repro.serving.reader import StoreReader
-from repro.serving.server import value_payload
+from repro.serving.server import ThreadedHTTPFront
 
 __all__ = [
     "HTTPReplica",
@@ -90,6 +99,7 @@ __all__ = [
     "RouterOptions",
     "RouterService",
     "StaleReplicasError",
+    "router_routes",
 ]
 
 _SIMILARITY_OPS = ("similar", "similarity_score", "fuzzy_contains")
@@ -827,179 +837,131 @@ class QueryRouter:
 # -- HTTP face ----------------------------------------------------------------
 
 
-class RouterHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
+def _routed_answer(call) -> HTTPResult:
+    """Run one router call, mapping its failures to HTTP answers."""
+    try:
+        return call()
+    except QueryRejected as exc:
+        return 400, {"error": str(exc)}, {}
+    except StaleReplicasError as exc:
+        return 429, {"error": str(exc)}, {
+            "Retry-After": str(exc.retry_after)
+        }
+    except ReplicationError as exc:
+        return 503, {"error": str(exc)}, {}
+    except ReproError as exc:
+        return 400, {"error": str(exc)}, {}
 
-    def __init__(
-        self, address: tuple[str, int], router: QueryRouter
-    ) -> None:
-        super().__init__(address, RouterRequestHandler)
-        self.router = router
 
+def router_routes(router: QueryRouter) -> RouteTable:
+    """The router's surface: ``/health``, ``/metrics``, ``/top``,
+    ``/query``, ``/similar`` and the session routes, which forward to
+    the pinned replica."""
 
-class RouterRequestHandler(BaseHTTPRequestHandler):
-    server: RouterHTTPServer
+    def routed(**kwargs) -> HTTPResult:
+        return _routed_answer(lambda: (200, router.query(**kwargs), {}))
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # keep test and CLI output deterministic
+    def handle_health(request: HTTPRequest) -> HTTPResult:
+        mode = "sharded" if router.options.sharded else "replicated"
+        return 200, {
+            "status": "ok",
+            "role": "router",
+            "mode": mode,
+            "replicas": router.replica_states(),
+            "session_pins": router.session_pins(),
+        }, {}
 
-    def _send(self, status: int, payload: object) -> None:
-        body = json.dumps(payload, indent=2).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def handle_metrics(request: HTTPRequest) -> HTTPResult:
+        return 200, router.metrics.as_dict(), {}
 
-    def _send_shed(self, exc: StaleReplicasError) -> None:
-        body = json.dumps({"error": str(exc)}, indent=2).encode("utf-8")
-        self.send_response(429)
-        self.send_header("Retry-After", str(exc.retry_after))
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _routed(self, **kwargs) -> None:
-        router = self.server.router
+    def handle_top(request: HTTPRequest) -> HTTPResult:
         try:
-            self._send(200, router.query(**kwargs))
-        except QueryRejected as exc:
-            self._send(400, {"error": str(exc)})
-        except StaleReplicasError as exc:
-            self._send_shed(exc)
-        except ReplicationError as exc:
-            self._send(503, {"error": str(exc)})
-        except ReproError as exc:
-            self._send(400, {"error": str(exc)})
-
-    def _forward_session(self, method: str) -> None:
-        """Relay one ``/sessions`` request through the router's pin."""
-        router = self.server.router
-        length = int(self.headers.get("Content-Length", "0"))
-        body = self.rfile.read(length) if length else None
-        try:
-            status, payload, headers = router.session_request(
-                method, urlparse(self.path).path, body
+            k = int(request.param("k", "10"))
+            min_applied = request.param("min_applied_seq")
+            min_applied_seq = (
+                None if min_applied is None else int(min_applied)
             )
-        except QueryRejected as exc:
-            self._send(400, {"error": str(exc)})
-            return
-        except StaleReplicasError as exc:
-            self._send_shed(exc)
-            return
-        except ReplicationError as exc:
-            self._send(503, {"error": str(exc)})
-            return
-        body_out = json.dumps(payload, indent=2).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body_out)))
-        retry_after = headers.get("Retry-After")
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        self.wfile.write(body_out)
+        except ValueError as exc:
+            return 400, {"error": f"malformed request: {exc!r}"}, {}
+        return routed(
+            op="top_k",
+            k=k,
+            label_filter=request.param("label"),
+            min_applied_seq=min_applied_seq,
+        )
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        parsed = urlparse(self.path)
-        router = self.server.router
-        if parsed.path.startswith("/sessions"):
-            self._forward_session("GET")
-            return
-        if parsed.path == "/health":
-            mode = "sharded" if router.options.sharded else "replicated"
-            self._send(
-                200,
-                {
-                    "status": "ok",
-                    "role": "router",
-                    "mode": mode,
-                    "replicas": router.replica_states(),
-                    "session_pins": router.session_pins(),
-                },
-            )
-            return
-        if parsed.path == "/metrics":
-            self._send(200, router.metrics.as_dict())
-            return
-        if parsed.path == "/top":
-            params = parse_qs(parsed.query)
+    def query_handler(default_op: str, ops: tuple[str, ...] | None):
+        def handle(request: HTTPRequest) -> HTTPResult:
             try:
-                k = int(params.get("k", ["10"])[0])
-                label = params.get("label", [None])[0]
-                min_applied = params.get("min_applied_seq", [None])[0]
-                min_applied_seq = (
-                    None if min_applied is None else int(min_applied)
-                )
-            except ValueError as exc:
-                self._send(400, {"error": f"malformed request: {exc!r}"})
-                return
-            self._routed(
-                op="top_k",
-                k=k,
-                label_filter=label,
-                min_applied_seq=min_applied_seq,
+                doc = request.json()
+                op = str(doc.get("op", default_op))
+                pattern = doc.get("pattern")
+                min_support = doc.get("min_support")
+                min_applied = doc.get("min_applied_seq")
+                threshold = doc.get("threshold")
+                semantics = doc.get("semantics")
+                k = doc.get("k")
+                graph_id = doc.get("graph_id")
+                kwargs = {
+                    "op": op,
+                    "pattern": None if pattern is None else str(pattern),
+                    "min_support": (
+                        None if min_support is None else float(min_support)
+                    ),
+                    "min_applied_seq": (
+                        None if min_applied is None else int(min_applied)
+                    ),
+                    "sim_threshold": (
+                        None if threshold is None else float(threshold)
+                    ),
+                    "semantics": (
+                        None if semantics is None else str(semantics)
+                    ),
+                    "k": None if k is None else int(k),
+                    "graph_id": None if graph_id is None else int(graph_id),
+                }
+            except (ValueError, TypeError, KeyError) as exc:
+                return 400, {
+                    "error": f"malformed query request: {exc!r}"
+                }, {}
+            if ops is not None and op not in ops:
+                return 400, {
+                    "error": f"op {op!r} is not a similarity op; expected "
+                    f"one of {', '.join(ops)}"
+                }, {}
+            return routed(**kwargs)
+
+        return handle
+
+    def forward_session(request: HTTPRequest) -> HTTPResult:
+        def call() -> HTTPResult:
+            status, payload, headers = router.session_request(
+                request.method, request.path, request.body or None
             )
-            return
-        self._send(404, {"error": f"unknown path {parsed.path!r}"})
+            retry_after = headers.get("Retry-After")
+            return status, payload, (
+                {} if retry_after is None
+                else {"Retry-After": str(retry_after)}
+            )
 
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        if urlparse(self.path).path.startswith("/sessions"):
-            self._forward_session("DELETE")
-            return
-        self._send(404, {"error": f"unknown path {self.path!r}"})
+        return _routed_answer(call)
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        path = urlparse(self.path).path
-        if path.startswith("/sessions"):
-            self._forward_session("POST")
-            return
-        if path not in ("/query", "/similar"):
-            self._send(404, {"error": f"unknown path {self.path!r}"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            doc = json.loads(self.rfile.read(length) or b"{}")
-            if not isinstance(doc, dict):
-                raise ValueError("request body must be a JSON object")
-            op = str(doc.get("op", "similar" if path == "/similar" else
-                             "support"))
-            pattern = doc.get("pattern")
-            min_support = doc.get("min_support")
-            min_applied = doc.get("min_applied_seq")
-            threshold = doc.get("threshold")
-            semantics = doc.get("semantics")
-            k = doc.get("k")
-            graph_id = doc.get("graph_id")
-            kwargs = {
-                "op": op,
-                "pattern": None if pattern is None else str(pattern),
-                "min_support": (
-                    None if min_support is None else float(min_support)
-                ),
-                "min_applied_seq": (
-                    None if min_applied is None else int(min_applied)
-                ),
-                "sim_threshold": (
-                    None if threshold is None else float(threshold)
-                ),
-                "semantics": (
-                    None if semantics is None else str(semantics)
-                ),
-                "k": None if k is None else int(k),
-                "graph_id": None if graph_id is None else int(graph_id),
-            }
-        except (ValueError, TypeError, KeyError) as exc:
-            self._send(400, {"error": f"malformed query request: {exc!r}"})
-            return
-        if path == "/similar" and op not in _SIMILARITY_OPS:
-            self._send(400, {
-                "error": f"op {op!r} is not a similarity op; expected "
-                f"one of {', '.join(_SIMILARITY_OPS)}"
-            })
-            return
-        self._routed(**kwargs)
+    table = RouteTable([
+        Endpoint("GET", "/health", "health", "control", handle_health),
+        Endpoint("GET", "/metrics", "metrics", "control", handle_metrics),
+        Endpoint("GET", "/top", "top", "query", handle_top),
+        Endpoint(
+            "POST", "/query", "query", "query",
+            query_handler("support", None),
+        ),
+        Endpoint(
+            "POST", "/similar", "similar", "query",
+            query_handler("similar", _SIMILARITY_OPS),
+        ),
+    ])
+    for method, path, name, kind in SESSION_ROUTES:
+        table.add(Endpoint(method, path, name, kind, forward_session))
+    return table
 
 
 class RouterService:
@@ -1018,11 +980,11 @@ class RouterService:
             replicas, options=options, metrics=metrics, tracer=tracer
         )
         self.metrics = self.router.metrics
-        self.server = RouterHTTPServer((host, port), self.router)
+        self.server = ThreadedHTTPFront(router_routes(self.router), host, port)
 
     @property
     def address(self) -> tuple[str, int]:
-        return self.server.server_address[0], self.server.server_address[1]
+        return self.server.address
 
     def serve_forever(self) -> None:
         self.server.serve_forever()

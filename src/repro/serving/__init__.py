@@ -18,8 +18,11 @@ answers from those bit-sets:
   version bump.
 * :class:`BatchExecutor` / :class:`Query` — batch execution grouping
   queries per pattern class across a thread pool.
-* :func:`serve` / :class:`StoreHTTPServer` — a stdlib JSON/HTTP
-  front-end (``taxogram serve``).
+* :mod:`repro.serving.endpoints` — every HTTP route as a transport-
+  neutral :class:`RouteTable`, mounted on the asyncio
+  :class:`AsyncHTTPFront` (:func:`serve_async`, ``taxogram serve``) or
+  the thread-per-request :class:`ThreadedHTTPFront` (followers, the
+  query router).
 
 Similarity queries (``similar`` / ``similarity_score`` /
 ``fuzzy_contains``) ride the same reader, cache, batch executor and
@@ -52,6 +55,7 @@ from repro.serving.endpoints import (
     ingest_routes,
     replication_routes,
     serving_routes,
+    value_payload,
 )
 from repro.serving.reader import (
     DEFAULT_SIMILAR_THRESHOLD,
@@ -60,7 +64,7 @@ from repro.serving.reader import (
     ServingAnswer,
     StoreReader,
 )
-from repro.serving.server import StoreHTTPServer, serve, value_payload
+from repro.serving.server import ThreadedHTTPFront
 from repro.similarity.engine import ScoredGraph, SimilarityEngine
 
 __all__ = [
@@ -80,13 +84,12 @@ __all__ = [
     "ScoredGraph",
     "ServingAnswer",
     "SimilarityEngine",
-    "StoreHTTPServer",
     "StoreReader",
+    "ThreadedHTTPFront",
     "VersionedResultCache",
     "ingest_routes",
     "query_key",
     "replication_routes",
-    "serve",
     "serve_async",
     "serving_routes",
     "value_payload",

@@ -1,11 +1,12 @@
 """The asyncio serving front-end: async accept, pooled compute.
 
-The legacy front (:mod:`repro.serving.server`) spends one OS thread per
-in-flight request; under heavy fan-in the thread explosion — not the
-bit-set math — is what falls over first, and its only defense is the
-ingest path's fixed lag cliff.  This front keeps the *compute* exactly
-as blocking and batch-friendly as before but moves *accept/parse/
-respond* onto one event loop:
+The threaded transport (:mod:`repro.serving.server`) spends one OS
+thread per in-flight request; under heavy fan-in the thread explosion —
+not the bit-set math — is what falls over first, and its only defense
+is the ingest path's fixed lag cliff.  This front, which ``serve`` and
+``ingest --serve`` run on, keeps the *compute* exactly as blocking and
+batch-friendly as the threaded one but moves *accept/parse/respond*
+onto one event loop:
 
 * connections are accepted and HTTP/1.1 requests parsed by
   ``asyncio.start_server`` coroutines — thousands of idle or slow
@@ -24,10 +25,9 @@ respond* onto one event loop:
   record end-to-end request latency, surfaced as a ``front`` block on
   ``GET /metrics``.
 
-Response bodies are byte-identical to the threaded front for every
-shared endpoint (same ``json.dumps(..., indent=2)``), which is what
-lets the load harness A/B the two fronts and the golden CLI tests pass
-against either.
+Response bodies are byte-identical to the threaded transport for
+every shared endpoint (same ``json.dumps(..., indent=2)``), so a route
+table answers the same whichever transport mounts it.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from repro.serving.admission import (
 from repro.serving.endpoints import (
     HTTPRequest,
     RouteTable,
+    content_length,
     not_found,
     serving_routes,
 )
@@ -56,9 +57,8 @@ from repro.serving.reader import StoreReader
 
 __all__ = ["AsyncHTTPFront", "serve_async"]
 
-# Parse limits: a header section larger than this is hostile, not load.
+# Parse limit: a header section larger than this is hostile, not load.
 _MAX_HEADER_BYTES = 32 * 1024
-_MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class _BadRequest(Exception):
@@ -72,7 +72,7 @@ class AsyncHTTPFront:
     decorated in place).  ``admission=None`` disables shedding — every
     request is admitted, still bounded by the per-kind semaphores.
     ``max_requests`` stops the front after N responses (testing aid,
-    mirrors the threaded CLI's ``--max-requests``).
+    backs the CLI's ``--max-requests``).
 
     Drive it either natively (``await start()`` /
     ``await serve_until_stopped()`` inside a running loop) or from
@@ -313,11 +313,9 @@ class AsyncHTTPFront:
             name, _sep, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
-            length = int(headers.get("content-length", "0") or "0")
+            length = content_length(headers.get("content-length"))
         except ValueError as exc:
-            raise _BadRequest(f"bad Content-Length: {exc}") from exc
-        if length < 0 or length > _MAX_BODY_BYTES:
-            raise _BadRequest(f"unacceptable Content-Length {length}")
+            raise _BadRequest(str(exc)) from exc
         body = b""
         if length:
             try:
@@ -421,8 +419,7 @@ def serve_async(
 ) -> tuple[AsyncHTTPFront, StoreReader]:
     """An async front over a read-only store (``taxogram serve``).
 
-    The async counterpart of :func:`repro.serving.server.serve`;
-    returns the (unstarted) front and its reader.  ``sessions`` mounts
+    Returns the (unstarted) front and its reader.  ``sessions`` mounts
     the interactive-session surface: ``True`` builds a default
     :class:`~repro.sessions.manager.SessionManager` over the reader, a
     manager instance is used as-is, and ``False``/``None`` disables the

@@ -1,10 +1,11 @@
-"""Transport-neutral endpoint logic shared by both HTTP front-ends.
+"""Transport-neutral endpoint logic shared by both HTTP transports.
 
-PR 7 gives the serving stack two front-ends — the original
-thread-per-request :class:`~repro.serving.server.StoreHTTPServer` and
-the asyncio :class:`~repro.serving.aserver.AsyncHTTPFront` — that must
-answer byte-identically so the load harness can A/B them.  The only way
-to keep that true over time is to write each endpoint exactly once:
+Every role (``serve``, the ingest primary, a follower, the query
+router) builds one :class:`RouteTable` and mounts it on one of two
+transports — the asyncio :class:`~repro.serving.aserver.AsyncHTTPFront`
+or the thread-per-request :class:`~repro.serving.server.
+ThreadedHTTPFront` — which answer byte-identically because each
+endpoint is written exactly once:
 
 * :class:`HTTPRequest` is the lowest common denominator of a parsed
   request (method, path, query params, body bytes);
@@ -31,7 +32,8 @@ streaming surface over an ingest service/core; ``replication_routes``
 adds the primary's segment-publishing surface over a
 :class:`~repro.replication.shipper.SegmentShipper`; ``session_routes``
 adds the interactive-session surface over a
-:class:`~repro.sessions.manager.SessionManager`.
+:class:`~repro.sessions.manager.SessionManager`; the query router's
+table lives in :func:`repro.replication.router.router_routes`.
 """
 
 from __future__ import annotations
@@ -46,10 +48,12 @@ from repro.incremental.delta import DatabaseDelta
 __all__ = [
     "ENDPOINT_KINDS",
     "NEVER_SHED_KINDS",
+    "SESSION_ROUTES",
     "Endpoint",
     "HTTPRequest",
     "HTTPResult",
     "RouteTable",
+    "content_length",
     "ingest_routes",
     "replication_routes",
     "serving_routes",
@@ -69,8 +73,41 @@ ENDPOINT_KINDS = (
 # Kinds admission control must never shed, whatever the pressure.
 NEVER_SHED_KINDS = frozenset({"control", "session_control"})
 
+# (method, path, name, kind) of the interactive-session surface.  The
+# replica mounts handlers on these routes (:func:`session_routes`); the
+# query router forwards exactly these routes to the pinned replica.
+SESSION_ROUTES = (
+    ("POST", "/sessions", "session_create", "session_control"),
+    ("GET", "/sessions/{id}", "session_get", "session_control"),
+    ("DELETE", "/sessions/{id}", "session_delete", "session_control"),
+    (
+        "POST", "/sessions/{id}/examples", "session_examples",
+        "session_control",
+    ),
+    ("POST", "/sessions/{id}/mine", "session_mine", "session"),
+    ("GET", "/sessions/{id}/result", "session_result", "session_control"),
+)
+
 # (status, payload, extra headers); payload is JSON-encodable or bytes.
 HTTPResult = tuple[int, object, dict]
+
+# A request body larger than this is hostile, not load.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
+def content_length(value: str | None) -> int:
+    """Parse a ``Content-Length`` header (absent or empty means 0).
+
+    Raises ``ValueError`` whose text both transports send back as the
+    400 error, so a malformed length gets the same answer everywhere.
+    """
+    try:
+        length = int(value or "0")
+    except ValueError as exc:
+        raise ValueError(f"bad Content-Length: {exc}") from None
+    if length < 0 or length > MAX_BODY_BYTES:
+        raise ValueError(f"unacceptable Content-Length {length}")
+    return length
 
 
 @dataclass(frozen=True)
@@ -543,29 +580,15 @@ def session_routes(manager) -> RouteTable:
             return 404, {"error": "session has no mine result yet"}, {}
         return 200, mine_payload(result), {}
 
+    handlers = {
+        "session_create": handle_create,
+        "session_get": handle_get,
+        "session_delete": handle_delete,
+        "session_examples": handle_examples,
+        "session_mine": handle_mine,
+        "session_result": handle_result,
+    }
     return RouteTable([
-        Endpoint(
-            "POST", "/sessions", "session_create", "session_control",
-            handle_create,
-        ),
-        Endpoint(
-            "GET", "/sessions/{id}", "session_get", "session_control",
-            handle_get,
-        ),
-        Endpoint(
-            "DELETE", "/sessions/{id}", "session_delete", "session_control",
-            handle_delete,
-        ),
-        Endpoint(
-            "POST", "/sessions/{id}/examples", "session_examples",
-            "session_control", handle_examples,
-        ),
-        Endpoint(
-            "POST", "/sessions/{id}/mine", "session_mine", "session",
-            handle_mine,
-        ),
-        Endpoint(
-            "GET", "/sessions/{id}/result", "session_result",
-            "session_control", handle_result,
-        ),
+        Endpoint(method, path, name, kind, handlers[name])
+        for method, path, name, kind in SESSION_ROUTES
     ])

@@ -1,129 +1,56 @@
-"""The threaded (legacy) JSON/HTTP front-end for :class:`StoreReader`.
+"""The thread-per-request JSON/HTTP transport for a :class:`RouteTable`.
 
-Endpoints:
+:class:`ThreadedHTTPFront` is a :class:`ThreadingHTTPServer` that
+dispatches every request through a route table built in
+:mod:`repro.serving.endpoints` (or :func:`repro.replication.router.
+router_routes`), so it answers byte-identically to the asyncio
+:class:`~repro.serving.aserver.AsyncHTTPFront` mounting the same table.
 
-* ``GET /health`` — store version, class/database counts, min support;
-* ``GET /metrics`` — the reader's ``serving.*`` counters and gauges;
-* ``GET /top?k=N[&label=NAME]`` — the top-``N`` mined patterns;
-* ``POST /query`` — body ``{"op": ..., "pattern": <graph-db text>,
-  "min_support": <optional float>}`` where ``op`` is ``support``,
-  ``contains``, ``graphs`` or ``specializations``.
-
-Query errors (:class:`~repro.exceptions.ReproError`) become HTTP 400
-with ``{"error": ...}``; unknown paths are 404.  The server is a
-:class:`ThreadingHTTPServer`, so concurrent requests exercise the
-reader's thread-safety for real — every handler thread shares one
-:class:`StoreReader` and its caches.
-
-Since PR 7 the endpoint logic itself lives in
-:mod:`repro.serving.endpoints`, shared with the asyncio front-end
-(:mod:`repro.serving.aserver`); this module only supplies the
-thread-per-request transport, kept behind the CLI's
-``--legacy-threads`` flag so the load harness can A/B the two.
+Followers and the query router run on it: a follower's CPU-bound
+replay thread shares the interpreter with the front, and under that
+load the event loop answered slower than one thread per request.
+Unknown paths are 404; a malformed ``Content-Length`` is 400 with the
+same JSON error the asyncio front sends.
 """
 
 from __future__ import annotations
 
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from repro.serving.endpoints import (
     HTTPRequest,
     RouteTable,
+    content_length,
     not_found,
-    serving_routes,
-    value_payload,
 )
-from repro.serving.reader import StoreReader
 
-__all__ = [
-    "StoreHTTPServer",
-    "StoreRequestHandler",
-    "serve",
-    "value_payload",
-]
+__all__ = ["ThreadedHTTPFront"]
 
 
-class StoreHTTPServer(ThreadingHTTPServer):
-    """One reader shared by every request-handler thread.
+class ThreadedHTTPFront(ThreadingHTTPServer):
+    """One route table shared by every request-handler thread.
 
-    ``handler`` is pluggable so extensions (the streaming ingest
-    service, the replication tier) can subclass
-    :class:`StoreRequestHandler` with extra endpoints while reusing the
-    read-side routing unchanged.  ``role`` names the process's place in
-    a replicated deployment (``standalone``, ``primary``, ``follower``)
-    and is reported by ``GET /health`` alongside the committed WAL
-    offset, so a query router can health-check any server through the
-    one endpoint; subclasses add liveness details via
-    :meth:`health_extras` and extra endpoints via :meth:`build_routes`.
+    Binds on construction (``port=0`` picks a free port); the caller
+    drives it with ``serve_forever()`` or ``handle_request()``.
     """
 
     daemon_threads = True
-    role = "standalone"
 
     def __init__(
-        self,
-        address: tuple[str, int],
-        reader: StoreReader,
-        handler: "type[StoreRequestHandler] | None" = None,
-        sessions=None,
+        self, routes: RouteTable, host: str = "127.0.0.1", port: int = 0
     ) -> None:
-        super().__init__(
-            address, handler if handler is not None else StoreRequestHandler
-        )
-        self.reader = reader
-        self.sessions = sessions  # SessionManager | None
-        self._routes: RouteTable | None = None
-
-    def health_extras(self) -> dict:
-        """Extra ``GET /health`` fields (applier liveness, lag, ...)."""
-        return {}
-
-    def build_routes(self) -> RouteTable:
-        """The server's endpoint table; subclasses merge extra routes."""
-        routes = serving_routes(
-            self.reader, role=self.role, health_extras=self.health_extras
-        )
-        if self.sessions is not None:
-            from repro.serving.endpoints import session_routes
-
-            routes.merge(session_routes(self.sessions))
-        return routes
+        super().__init__((host, port), _RouteRequestHandler)
+        self.routes = routes
 
     @property
-    def routes(self) -> RouteTable:
-        # Built lazily: subclass attributes referenced by the routes
-        # (e.g. PrimaryService.shipper) may not exist yet while the
-        # socket is being bound in ``__init__``.
-        if self._routes is None:
-            self._routes = self.build_routes()
-        return self._routes
+    def address(self) -> tuple[str, int]:
+        return self.server_address[0], self.server_address[1]
 
 
-def serve(
-    store_dir: str | Path,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    with_sessions: bool = True,
-) -> StoreHTTPServer:
-    """Bind a server over ``store_dir`` (``port=0`` picks a free port).
-
-    The caller drives it: ``serve_forever()`` for a real deployment,
-    ``handle_request()`` N times for tests.  ``with_sessions`` mounts
-    the interactive-session surface (``/sessions``) over a default
-    :class:`~repro.sessions.manager.SessionManager`.
-    """
-    from repro.sessions.manager import SessionManager
-
-    reader = StoreReader(store_dir)
-    sessions = SessionManager(reader) if with_sessions else None
-    return StoreHTTPServer((host, port), reader, sessions=sessions)
-
-
-class StoreRequestHandler(BaseHTTPRequestHandler):
-    server: StoreHTTPServer
+class _RouteRequestHandler(BaseHTTPRequestHandler):
+    server: ThreadedHTTPFront
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # keep test and CLI output deterministic
@@ -146,13 +73,17 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _dispatch(self, method: str) -> None:
+        try:
+            length = content_length(self.headers.get("Content-Length"))
+        except ValueError as exc:
+            self._send(400, {"error": str(exc)})
+            return
         parsed = urlparse(self.path)
         endpoint, path_args = self.server.routes.match(method, parsed.path)
         if endpoint is None:
             path = parsed.path if method == "GET" else self.path
             self._send(*not_found(path))
             return
-        length = int(self.headers.get("Content-Length", "0"))
         body = self.rfile.read(length) if length else b""
         request = HTTPRequest(
             method=method,

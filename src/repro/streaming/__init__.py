@@ -31,7 +31,6 @@ _EXPORTS = {
         "repro.streaming.service": (
             "IngestCore",
             "IngestOptions",
-            "IngestService",
         ),
         "repro.streaming.wal": (
             "SegmentView",

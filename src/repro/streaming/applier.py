@@ -20,6 +20,9 @@ together), and only a fully-committed shadow is swapped in::
     <store>.next  ->  <store>        # ...and reappears committed
     rmtree <store>.prev
 
+:func:`shadow_commit` is that protocol's one implementation; the
+one-shot ``taxogram update`` commits through it too.
+
 :func:`recover_store` makes the protocol total: whatever instant the
 process is killed, either the live manifest is intact (stray siblings
 are discarded; the WAL replays anything past the committed offset) or
@@ -43,6 +46,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from repro.exceptions import ReproError, StoreError
 from repro.incremental.delta import DatabaseDelta
@@ -60,12 +64,15 @@ __all__ = [
     "StreamApplier",
     "applied_wal_seq",
     "recover_store",
+    "shadow_commit",
 ]
 
 _MANIFEST = "manifest.json"
 _NEXT_SUFFIX = ".next"
 _PREV_SUFFIX = ".prev"
 _APPLIED_KEY = "wal_applied_seq"
+
+_T = TypeVar("_T")
 
 
 def applied_wal_seq(store: PatternStore) -> int:
@@ -117,6 +124,40 @@ def recover_store(store_dir: str | Path) -> str:
         f"{base} is not a pattern store and no complete shadow copy "
         "survives to recover from"
     )
+
+
+def shadow_commit(
+    store_dir: str | Path,
+    apply: Callable[[PatternStore], _T],
+    tracer: Tracer = NOOP_TRACER,
+) -> _T:
+    """Run ``apply`` on a shadow copy of the store, then swap it in.
+
+    ``apply`` receives the opened ``<store>.next`` copy and commits it
+    (``IncrementalTaxogram.apply`` saves).  The live store is replaced
+    only after ``apply`` returns; if it raises, the shadow is discarded
+    and the live store is untouched.  A kill at any instant leaves
+    either the live store or one complete sibling, which
+    :func:`recover_store` adopts.
+    """
+    base = Path(store_dir)
+    next_dir = base.with_name(base.name + _NEXT_SUFFIX)
+    if next_dir.exists():
+        shutil.rmtree(next_dir)
+    with tracer.span("streaming.shadow_copy"):
+        shutil.copytree(base, next_dir)
+    try:
+        result = apply(PatternStore.open(next_dir))
+    except BaseException:
+        shutil.rmtree(next_dir, ignore_errors=True)
+        raise
+    prev_dir = base.with_name(base.name + _PREV_SUFFIX)
+    if prev_dir.exists():
+        shutil.rmtree(prev_dir)
+    base.rename(prev_dir)
+    next_dir.rename(base)
+    shutil.rmtree(prev_dir)
+    return result
 
 
 def _split_graph_chunks(add_text: str) -> list[str]:
@@ -324,14 +365,7 @@ class StreamApplier:
         return len(batch)
 
     def _apply_records(self, batch: list[WALRecord]) -> None:
-        base = self.store_dir
-        next_dir = base.with_name(base.name + _NEXT_SUFFIX)
-        if next_dir.exists():
-            shutil.rmtree(next_dir)
-        with self.tracer.span("streaming.shadow_copy"):
-            shutil.copytree(base, next_dir)
-        try:
-            shadow = PatternStore.open(next_dir)
+        def apply(shadow: PatternStore):
             composer = _BatchComposer(shadow)
             for record in batch:
                 composer.push(record)
@@ -343,16 +377,11 @@ class StreamApplier:
                 shadow.app_state.update(self.app_state_extra)
             updater = IncrementalTaxogram(shadow, self.options.incremental)
             with self.tracer.span("streaming.incremental_apply"):
-                result = updater.apply(delta, self.tracer)
-        except BaseException:
-            shutil.rmtree(next_dir, ignore_errors=True)
-            raise
-        prev_dir = base.with_name(base.name + _PREV_SUFFIX)
-        if prev_dir.exists():
-            shutil.rmtree(prev_dir)
-        base.rename(prev_dir)
-        next_dir.rename(base)
-        shutil.rmtree(prev_dir)
+                return composer, delta, updater.apply(delta, self.tracer)
+
+        composer, delta, result = shadow_commit(
+            self.store_dir, apply, self.tracer
+        )
         with self._applied:
             self._applied_seq = batch[-1].seq
             self._applied.notify_all()

@@ -1,4 +1,4 @@
-"""Live ingest service: the serving HTTP front-end plus a WAL pipeline.
+"""Live ingest service: the serving endpoints plus a WAL pipeline.
 
 :class:`IngestCore` composes the whole streaming stack *without* a
 transport: a :class:`~repro.streaming.wal.WriteAheadLog` as the durable
@@ -9,10 +9,9 @@ whichever store version is committed.  Readers never observe a
 half-applied batch — the applier's shadow-swap commit means the store
 directory always holds a complete, checksummed version.
 
-:class:`IngestService` is the core plus the threaded (legacy) HTTP
-server; the asyncio front-end (:mod:`repro.serving.aserver`) composes
-the same core with :func:`repro.serving.endpoints.ingest_routes`
-instead, so both fronts share one ingest path byte for byte.
+``ingest --serve`` mounts :meth:`IngestCore.routes` on the asyncio
+:class:`~repro.serving.aserver.AsyncHTTPFront`; the table is the
+read-only surface plus :func:`repro.serving.endpoints.ingest_routes`.
 
 Endpoints added on top of the serving surface:
 
@@ -47,16 +46,12 @@ from repro.observability.metrics import (
 from repro.observability.trace import NOOP_TRACER, Tracer
 from repro.serving.endpoints import RouteTable, ingest_routes, serving_routes
 from repro.serving.reader import StoreReader
-from repro.serving.server import StoreHTTPServer, StoreRequestHandler
 from repro.streaming.applier import ApplierOptions, StreamApplier
 from repro.streaming.wal import WriteAheadLog
 
 __all__ = [
     "IngestCore",
-    "IngestHTTPServer",
     "IngestOptions",
-    "IngestRequestHandler",
-    "IngestService",
 ]
 
 
@@ -80,43 +75,6 @@ class IngestOptions:
     wal_compress: str | None = None
 
 
-class IngestRequestHandler(StoreRequestHandler):
-    """Kept for back-compat; routing is table-driven since PR 7."""
-
-    server: "IngestHTTPServer"
-
-
-class IngestHTTPServer(StoreHTTPServer):
-    """The serving server with a back-reference to its ingest service."""
-
-    role = "primary"
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        reader: StoreReader,
-        service: "IngestCore",
-        handler: "type[StoreRequestHandler] | None" = None,
-    ) -> None:
-        super().__init__(
-            address,
-            reader,
-            handler=handler if handler is not None else IngestRequestHandler,
-        )
-        self.service = service
-
-    def health_extras(self) -> dict:
-        return self.service.health_extras()
-
-    def build_routes(self) -> RouteTable:
-        routes = super().build_routes()
-        routes.merge(ingest_routes(self.service))
-        extra = self.service.extra_routes()
-        if extra is not None:
-            routes.merge(extra)
-        return routes
-
-
 class IngestCore:
     """WAL + applier + reader over one pattern store directory.
 
@@ -125,8 +83,7 @@ class IngestCore:
     called the applier folds batches in the background.  :meth:`close`
     drains pending records and releases everything; it is what SIGTERM
     handling calls for a graceful exit.  The core is transport-free —
-    front-ends mount it via :meth:`routes` or
-    :class:`IngestHTTPServer`.
+    a front-end mounts :meth:`routes`.
     """
 
     role = "primary"
@@ -179,18 +136,9 @@ class IngestCore:
 
     def routes(self) -> RouteTable:
         """The full endpoint table for mounting on any front-end."""
-        table = serving_routes(
+        return serving_routes(
             self.reader, role=self.role, health_extras=self.health_extras
-        )
-        table.merge(ingest_routes(self))
-        extra = self.extra_routes()
-        if extra is not None:
-            table.merge(extra)
-        return table
-
-    def extra_routes(self) -> RouteTable | None:
-        """Extra endpoints (the replication primary adds its surface)."""
-        return None
+        ).merge(ingest_routes(self))
 
     def health_extras(self) -> dict:
         return {
@@ -258,52 +206,3 @@ class IngestCore:
             "applier_alive": error is None,
             "error": None if error is None else str(error),
         }
-
-
-class IngestService(IngestCore):
-    """An :class:`IngestCore` bound to the threaded HTTP server.
-
-    ``handler_class`` is the request handler the server is built with;
-    :class:`~repro.replication.shipper.PrimaryService` overrides
-    :meth:`extra_routes` to add the segment-publishing endpoints on the
-    same socket.
-    """
-
-    handler_class: "type[IngestRequestHandler]" = IngestRequestHandler
-
-    def __init__(
-        self,
-        store_dir: str | Path,
-        wal_dir: str | Path,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        options: IngestOptions | None = None,
-        applier_options: ApplierOptions | None = None,
-        metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        super().__init__(
-            store_dir,
-            wal_dir,
-            options=options,
-            applier_options=applier_options,
-            metrics=metrics,
-            tracer=tracer,
-        )
-        self.server = IngestHTTPServer(
-            (host, port), self.reader, self, handler=type(self).handler_class
-        )
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server.server_address[0], self.server.server_address[1]
-
-    def serve_forever(self) -> None:
-        self.server.serve_forever()
-
-    def close(self, drain: bool = True) -> None:
-        """Stop accepting, optionally drain the backlog, release files."""
-        if self._closed:
-            return
-        self.server.server_close()
-        super().close(drain=drain)

@@ -2,10 +2,10 @@
 
 Two contracts:
 
-* **Byte parity** — both front-ends serve the *same* endpoint
-  functions (:mod:`repro.serving.endpoints`), so for any request the
-  asyncio front's status and body must equal the threaded server's,
-  byte for byte.  The A/B benchmark and the router both lean on this.
+* **Byte parity** — both transports mount the *same* route table
+  (:mod:`repro.serving.endpoints`), so for any request the asyncio
+  front's status and body must equal the threaded transport's, byte
+  for byte.  Followers and the router run on the threaded one.
 * **Real backpressure** — with an :class:`AdmissionController`
   attached, saturating a kind's queue yields 429s with a positive
   decimal ``Retry-After``, never a hang or a 500, and control
@@ -25,14 +25,14 @@ import pytest
 
 from repro.core.taxogram import Taxogram, TaxogramOptions
 from repro.graphs.database import GraphDatabase
-from repro.serving import StoreHTTPServer, StoreReader
+from repro.serving import StoreReader, ThreadedHTTPFront
 from repro.serving.admission import (
     AdmissionController,
     AdmissionLimits,
     AdmissionPolicy,
 )
 from repro.serving.aserver import AsyncHTTPFront, serve_async
-from repro.serving.endpoints import Endpoint, RouteTable
+from repro.serving.endpoints import Endpoint, RouteTable, serving_routes
 from repro.taxonomy.builders import taxonomy_from_parent_names
 from tests.conftest import wait_until
 
@@ -64,7 +64,7 @@ def async_front(store_dir):
 
 @pytest.fixture
 def threaded_server(store_dir):
-    server = StoreHTTPServer(("127.0.0.1", 0), StoreReader(store_dir))
+    server = ThreadedHTTPFront(serving_routes(StoreReader(store_dir)))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[0], server.server_address[1]
@@ -164,6 +164,26 @@ class TestLifecycle:
             assert connection.getresponse().status in (400, 404, 405)
         finally:
             connection.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400_on_both_transports(
+        self, async_front, threaded_server, length
+    ):
+        _front, async_address = async_front
+        answers = []
+        for address in (async_address, threaded_server):
+            connection = http.client.HTTPConnection(address, timeout=30)
+            try:
+                connection.putrequest("POST", "/query")
+                connection.putheader("Content-Length", length)
+                connection.endheaders()
+                response = connection.getresponse()
+                answers.append((response.status, response.read()))
+            finally:
+                connection.close()
+        assert answers[0][0] == 400
+        assert b"Content-Length" in answers[0][1]
+        assert answers[1] == answers[0]
 
 
 class TestBackpressure:

@@ -303,3 +303,52 @@ class TestGenerateAndStats:
         out = capsys.readouterr().out
         assert "D1000" in out
         assert "PTE" in out
+
+
+def test_interrupted_update_keeps_the_old_store(tmp_path, capsys, monkeypatch):
+    """An update that dies mid-apply leaves the store openable at its
+    old version, and re-running it prints what an uninterrupted update
+    prints."""
+    import re
+    import shutil
+
+    import repro.incremental.updater as updater_module
+    from repro.incremental import PatternStore
+
+    def untimed(out, store_dir):
+        # The summary line ends with per-stage wall times.
+        return re.sub(r" \[[^\]]*\]$", "", out, flags=re.M).replace(
+            str(store_dir), "STORE"
+        )
+
+    graphs, tax = tmp_path / "g.graphs", tmp_path / "t.tax"
+    store_dir, twin = tmp_path / "store", tmp_path / "twin"
+    assert main(
+        ["generate", "D1000", "--graphs-out", str(graphs),
+         "--taxonomy-out", str(tax), "--graph-scale", "0.02",
+         "--taxonomy-scale", "0.05"]
+    ) == 0
+    assert main(
+        ["mine", str(graphs), str(tax), "--support", "0.3",
+         "--max-edges", "2", "--store-out", str(store_dir)]
+    ) == 0
+    shutil.copytree(store_dir, twin)
+    adds = tmp_path / "adds.graphs"
+    adds.write_text("t #" + "t #".join(graphs.read_text().split("t #")[1:4]))
+    argv = ["--add", str(adds), "--remove", "1"]
+    capsys.readouterr()
+    assert main(["update", str(twin), *argv]) == 0
+    expected = untimed(capsys.readouterr().out, twin)
+    version = PatternStore.open(store_dir).store_version
+
+    def interrupted(*args, **kwargs):
+        raise RuntimeError("interrupted mid-apply")
+
+    monkeypatch.setattr(updater_module, "specialize_class", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        main(["update", str(store_dir), *argv])
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert PatternStore.open(store_dir).store_version == version
+    assert main(["update", str(store_dir), *argv]) == 0
+    assert untimed(capsys.readouterr().out, store_dir) == expected

@@ -108,6 +108,31 @@ class TestPublicAPI:
         for name in repro.streaming.__all__:
             assert hasattr(repro.streaming, name), name
 
+    def test_streaming_wal_import_leaves_mining_unloaded(self):
+        # ``repro.incremental`` resolves its exports lazily: the WAL
+        # needs only ``DatabaseDelta``, not the updater or the miner.
+        mining = (
+            "repro.incremental.pipeline",
+            "repro.incremental.updater",
+            "repro.core.taxogram",
+        )
+        code = (
+            "import sys, repro.streaming.wal; "
+            f"print([m for m in {mining!r} if m in sys.modules])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+        import repro.incremental
+
+        for name in repro.incremental.__all__:
+            assert hasattr(repro.incremental, name), name
+
     def test_python_dash_m_entrypoint(self):
         result = subprocess.run(
             [sys.executable, "-m", "repro", "datasets"],

@@ -88,7 +88,7 @@ class TestCatchUpIdentity:
         """Step a follower through its catch-up batch by batch; at each
         committed version, answers routed to it must be bit-identical
         to a fresh reader over its store."""
-        service, url, thread = _unapplied_primary(tmp_path, 6)
+        service, url, front = _unapplied_primary(tmp_path, 6)
         try:
             with Follower(
                 tmp_path / "replica",
@@ -115,8 +115,7 @@ class TestCatchUpIdentity:
                 # committed versions were exercised.
                 assert versions_checked >= 4
         finally:
-            service.server.shutdown()
-            thread.join(timeout=10)
+            front.stop_background()
             service.close()
 
 

@@ -24,13 +24,20 @@ from repro.core.taxogram import Taxogram, TaxogramOptions
 from repro.exceptions import ReplicationError
 from repro.graphs.database import GraphDatabase
 from repro.incremental import DatabaseDelta, PatternStore
-from repro.replication import Follower, FollowerOptions, FollowerService
+from repro.replication import (
+    Follower,
+    FollowerOptions,
+    FollowerService,
+    PrimaryCore,
+)
+from repro.serving import AsyncHTTPFront
 from repro.streaming import ApplierOptions, IngestOptions, WriteAheadLog
 from repro.taxonomy.builders import taxonomy_from_parent_names
 from tests.test_replication_shipper import (
     ADD_ONE,
     _mine_store,
     _request,
+    _serve_primary,
     primary,  # noqa: F401 - fixture re-export
 )
 from tests.test_streaming_applier import _offline_replay, _store_digest
@@ -40,6 +47,12 @@ def _segment_bytes(wal_dir: Path) -> bytes:
     return b"".join(
         path.read_bytes() for path in sorted(Path(wal_dir).iterdir())
     )
+
+
+@pytest.fixture
+def served_primary(tmp_path):
+    with _serve_primary(tmp_path) as served:
+        yield served
 
 
 def _quick_options(**overrides):
@@ -55,24 +68,23 @@ def _applier_options():
 def _unapplied_primary(tmp_path, n_records, segment_max_bytes=None):
     """A served primary whose applier never runs: every journaled
     record is unapplied, so a follower must fetch and replay them all
-    (a bootstrap snapshot alone cannot satisfy the watermark)."""
-    from repro.replication import PrimaryService
+    (a bootstrap snapshot alone cannot satisfy the watermark).
 
+    Returns the core, its URL and the running front; stop the front
+    before closing the core."""
     store_dir = _mine_store(tmp_path)
-    service = PrimaryService(
+    service = PrimaryCore(
         store_dir,
         tmp_path / "wal",
-        port=0,
         options=IngestOptions(wait_timeout_seconds=60.0),
     )
     if segment_max_bytes is not None:
         service.wal.segment_max_bytes = segment_max_bytes
     for _ in range(n_records):
         service.wal.append(DatabaseDelta(add_text=ADD_ONE))
-    thread = threading.Thread(target=service.serve_forever, daemon=True)
-    thread.start()
-    host, port = service.address
-    return service, f"http://{host}:{port}", thread
+    front = AsyncHTTPFront(service.routes())
+    host, port = front.start_background()
+    return service, f"http://{host}:{port}", front
 
 
 class TestSync:
@@ -99,7 +111,7 @@ class TestSync:
         )
 
     def test_rejournaled_wal_is_byte_identical(self, tmp_path):
-        service, url, thread = _unapplied_primary(tmp_path, 3)
+        service, url, front = _unapplied_primary(tmp_path, 3)
         try:
             with Follower(
                 tmp_path / "replica",
@@ -116,8 +128,7 @@ class TestSync:
                 service.wal.directory
             )
         finally:
-            service.server.shutdown()
-            thread.join(timeout=10)
+            front.stop_background()
             service.close()
 
     def test_small_fetch_chunks_split_frames(self, primary, tmp_path):
@@ -172,7 +183,7 @@ class TestSync:
     def test_sealed_segment_digests_verified(self, tmp_path):
         """Small primary segments seal quickly; every sealed segment the
         follower consumes is digest-checked against the manifest."""
-        service, url, thread = _unapplied_primary(
+        service, url, front = _unapplied_primary(
             tmp_path, 3, segment_max_bytes=1
         )
         try:
@@ -188,8 +199,7 @@ class TestSync:
                     "replication.segments_verified"
                 ) == 3
         finally:
-            service.server.shutdown()
-            thread.join(timeout=10)
+            front.stop_background()
             service.close()
 
 
@@ -301,11 +311,11 @@ class TestFollowerService:
             service.close()
 
     def test_primary_outage_flips_sync_ok_not_serving(
-        self, primary, tmp_path
+        self, served_primary, tmp_path
     ):
         import json as _json
 
-        p_service, url = primary
+        _p_service, p_front, url = served_primary
         _request(url, "/ingest", {"add": ADD_ONE, "wait": True})
         service = FollowerService(
             tmp_path / "replica",
@@ -323,10 +333,9 @@ class TestFollowerService:
         host, port = service.address
         furl = f"http://{host}:{port}"
         try:
-            # Partition the primary away: stop serving AND close the
-            # listening socket so connections fail fast.
-            p_service.server.shutdown()
-            p_service.server.server_close()
+            # Partition the primary away: stopping the front closes
+            # the listening socket so connections fail fast.
+            p_front.stop_background()
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:
                 status, body, _ = _request(furl, "/health")
@@ -378,8 +387,6 @@ def _build_primary_case(tmp_path, seed):
     The primary's own applier is *not* started: the follower must do
     every apply itself, so kills land inside its replay path.
     """
-    from repro.replication import PrimaryService
-
     rng = random.Random(seed)
     taxonomy = taxonomy_from_parent_names({"b": "a", "c": "a", "d": "b"})
 
@@ -408,10 +415,9 @@ def _build_primary_case(tmp_path, seed):
         else:
             ids = rng.sample(range(10), rng.randint(1, 2))
             records.append(DatabaseDelta.removing(ids))
-    service = PrimaryService(
+    service = PrimaryCore(
         store_dir,
         tmp_path / "pwal",
-        port=0,
         options=IngestOptions(wait_timeout_seconds=60.0),
     )
     for record in records:
@@ -463,9 +469,8 @@ def _run_follower_with_kills(tmp_path, url, rng, max_rounds=40):
 
 def _crash_case(tmp_path, seed):
     service, seed_copy, records = _build_primary_case(tmp_path, seed)
-    thread = threading.Thread(target=service.serve_forever, daemon=True)
-    thread.start()
-    host, port = service.address
+    front = AsyncHTTPFront(service.routes())
+    host, port = front.start_background()
     url = f"http://{host}:{port}"
     rng = random.Random(seed + 1)
     try:
@@ -474,8 +479,7 @@ def _crash_case(tmp_path, seed):
         assert _store_digest(replica) == _store_digest(oracle)
         return kills
     finally:
-        service.server.shutdown()
-        thread.join(timeout=10)
+        front.stop_background()
         service.close()
 
 

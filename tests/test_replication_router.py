@@ -7,6 +7,7 @@ follower/primary servers.
 
 from __future__ import annotations
 
+import http.client
 import json
 import shutil
 import threading
@@ -303,6 +304,120 @@ class TestRouterHTTP:
         status, body, _ = _request(routed, "/metrics")
         assert status == 200
 
+    # (method, path, request body) -> (status, exact body, Retry-After).
+    # Recorded from the hand-written router handler this route table
+    # replaced; the wire surface must not drift.
+    WIRE_CASES = [
+        (
+            ("GET", "/nope?x=1", None),
+            (404, b'{\n  "error": "unknown path \'/nope\'"\n}', None),
+        ),
+        (
+            ("POST", "/nope?x=1", b"{}"),
+            (404, b'{\n  "error": "unknown path \'/nope?x=1\'"\n}', None),
+        ),
+        (
+            ("DELETE", "/nope?x=1", None),
+            (404, b'{\n  "error": "unknown path \'/nope?x=1\'"\n}', None),
+        ),
+        (
+            ("POST", "/query", b"not json"),
+            (
+                400,
+                b'{\n  "error": "malformed query request: '
+                b"JSONDecodeError('Expecting value: line 1 column 1 "
+                b"(char 0)')\"\n}",
+                None,
+            ),
+        ),
+        (
+            ("POST", "/query", b"[1, 2]"),
+            (
+                400,
+                b'{\n  "error": "malformed query request: '
+                b"ValueError('request body must be a JSON object')\"\n}",
+                None,
+            ),
+        ),
+        (
+            ("POST", "/query", b'{"op": "support", "k": "x"}'),
+            (
+                400,
+                b'{\n  "error": "malformed query request: ValueError('
+                b"\\\"invalid literal for int() with base 10: 'x'\\\")\"\n}",
+                None,
+            ),
+        ),
+        (
+            ("POST", "/query", json.dumps(
+                {"op": "bogus", "pattern": GENERAL}
+            ).encode()),
+            (400, b'{\n  "error": "unknown query op \'bogus\'"\n}', None),
+        ),
+        (
+            ("POST", "/similar", json.dumps(
+                {"op": "support", "pattern": GENERAL}
+            ).encode()),
+            (
+                400,
+                b'{\n  "error": "op \'support\' is not a similarity op; '
+                b'expected one of similar, similarity_score, '
+                b'fuzzy_contains"\n}',
+                None,
+            ),
+        ),
+        (
+            ("POST", "/query", json.dumps(
+                {"op": "support", "pattern": GENERAL, "min_applied_seq": 5}
+            ).encode()),
+            (
+                429,
+                b'{\n  "error": "no replica has reached applied seq 5 '
+                b'yet; retry shortly"\n}',
+                "1",
+            ),
+        ),
+        (
+            ("GET", "/top?k=abc", None),
+            (
+                400,
+                b'{\n  "error": "malformed request: ValueError('
+                b"\\\"invalid literal for int() with base 10: 'abc'\\\")"
+                b'"\n}',
+                None,
+            ),
+        ),
+        (
+            ("GET", "/top?k=2&min_applied_seq=9", None),
+            (
+                429,
+                b'{\n  "error": "no replica has reached applied seq 9 '
+                b'yet; retry shortly"\n}',
+                "1",
+            ),
+        ),
+    ]
+
+    def test_wire_bytes_are_pinned(self, routed):
+        address = routed.removeprefix("http://")
+        for (method, path, body), expected in self.WIRE_CASES:
+            connection = http.client.HTTPConnection(address, timeout=30)
+            try:
+                headers = (
+                    {} if body is None
+                    else {"Content-Type": "application/json"}
+                )
+                connection.request(method, path, body, headers)
+                response = connection.getresponse()
+                got = (
+                    response.status,
+                    response.read(),
+                    response.getheader("Retry-After"),
+                )
+            finally:
+                connection.close()
+            assert got == expected, (method, path)
+
     def test_partitioned_follower_evicted_router_keeps_answering(
         self, tmp_path
     ):
@@ -314,7 +429,7 @@ class TestRouterHTTP:
         from repro.streaming import ApplierOptions
         from tests.test_replication_follower import _unapplied_primary
 
-        p_service, url, p_thread = _unapplied_primary(tmp_path, 2)
+        p_service, url, p_front = _unapplied_primary(tmp_path, 2)
         followers = []
         threads = []
         try:
@@ -366,8 +481,7 @@ class TestRouterHTTP:
                     pass
                 thread.join(timeout=5)
                 fsvc.close()
-            p_service.server.shutdown()
-            p_thread.join(timeout=10)
+            p_front.stop_background()
             p_service.close()
 
 
@@ -402,7 +516,7 @@ def test_router_survives_sigkilled_follower_and_rejoin(tmp_path):
 
     from tests.test_replication_follower import _unapplied_primary
 
-    p_service, url, p_thread = _unapplied_primary(tmp_path, 8)
+    p_service, url, p_front = _unapplied_primary(tmp_path, 8)
     worker = tmp_path / "follower_server.py"
     worker.write_text(_FOLLOWER_SERVER)
     env = dict(os.environ)
@@ -465,8 +579,7 @@ def test_router_survives_sigkilled_follower_and_rejoin(tmp_path):
         for proc in procs:
             proc.kill()
             proc.wait()
-        p_service.server.shutdown()
-        p_thread.join(timeout=10)
+        p_front.stop_background()
         p_service.close()
 
 

@@ -2,17 +2,17 @@
 
 The shipper is pinned at two levels: :class:`SegmentShipper` directly
 against a WAL + store on disk, and the HTTP surface through a real
-:class:`PrimaryService` socket (one port serving ingest, queries and
-replication at once).
+:class:`PrimaryCore` mounted on one socket (one port serving ingest,
+queries and replication at once).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
 import tarfile
-import threading
 import urllib.error
 import urllib.request
 
@@ -22,11 +22,12 @@ from repro.core.taxogram import Taxogram, TaxogramOptions
 from repro.graphs.database import GraphDatabase
 from repro.incremental import DatabaseDelta, PatternStore
 from repro.replication import (
-    PrimaryService,
+    PrimaryCore,
     SegmentShipper,
     sign_manifest,
     verify_manifest,
 )
+from repro.serving import AsyncHTTPFront
 from repro.streaming import ApplierOptions, IngestOptions, WriteAheadLog
 from repro.taxonomy.builders import taxonomy_from_parent_names
 
@@ -65,27 +66,31 @@ def _request(url, path, doc=None):
         return exc.code, exc.read(), dict(exc.headers)
 
 
-@pytest.fixture
-def primary(tmp_path):
+@contextlib.contextmanager
+def _serve_primary(tmp_path):
+    """A publishing primary core, its running front and its URL."""
     store_dir = _mine_store(tmp_path)
-    service = PrimaryService(
+    service = PrimaryCore(
         store_dir,
         tmp_path / "wal",
         secret="hush",
-        port=0,
         options=IngestOptions(max_lag_records=64, wait_timeout_seconds=60.0),
         applier_options=ApplierOptions(max_latency_seconds=0.02),
     )
     service.start()
-    thread = threading.Thread(target=service.serve_forever, daemon=True)
-    thread.start()
-    host, port = service.address
+    front = AsyncHTTPFront(service.routes())
+    host, port = front.start_background()
     try:
-        yield service, f"http://{host}:{port}"
+        yield service, front, f"http://{host}:{port}"
     finally:
-        service.server.shutdown()
-        thread.join(timeout=10)
+        front.stop_background()
         service.close()
+
+
+@pytest.fixture
+def primary(tmp_path):
+    with _serve_primary(tmp_path) as (service, _front, url):
+        yield service, url
 
 
 class TestManifest:

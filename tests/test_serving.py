@@ -45,8 +45,9 @@ from repro.serving import (
     MatchResult,
     Query,
     StoreReader,
+    ThreadedHTTPFront,
     VersionedResultCache,
-    serve,
+    serving_routes,
 )
 from repro.taxonomy.builders import taxonomy_from_parent_names
 from tests.conftest import make_differential_case
@@ -545,7 +546,7 @@ class TestBatchExecutor:
 class TestHTTPServer:
     @pytest.fixture
     def server(self, store_dir):
-        server = serve(store_dir, port=0)
+        server = ThreadedHTTPFront(serving_routes(StoreReader(store_dir)))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         yield server

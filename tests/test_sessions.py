@@ -42,7 +42,7 @@ from repro.serving.endpoints import (
     serving_routes,
 )
 from repro.serving.reader import StoreReader
-from repro.serving.server import StoreHTTPServer
+from repro.serving.server import ThreadedHTTPFront
 from repro.sessions import (
     QuotaAccountant,
     QuotaExceeded,
@@ -345,8 +345,10 @@ class TestAdmissionClassification:
         assert controller.depth("session") == 0
 
 
-def _serve(reader, manager) -> tuple[StoreHTTPServer, str]:
-    server = StoreHTTPServer(("127.0.0.1", 0), reader, sessions=manager)
+def _serve(reader, manager) -> tuple[ThreadedHTTPFront, str]:
+    server = ThreadedHTTPFront(
+        serving_routes(reader).merge(session_routes(manager))
+    )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, f"http://127.0.0.1:{server.server_address[1]}"

@@ -411,7 +411,7 @@ class TestRoutedCatchUpIdentity:
     def test_every_intermediate_version_answers_identically(
         self, tmp_path
     ):
-        service, url, thread = _unapplied_primary(tmp_path, 4)
+        service, url, front = _unapplied_primary(tmp_path, 4)
         try:
             with Follower(
                 tmp_path / "replica",
@@ -438,8 +438,7 @@ class TestRoutedCatchUpIdentity:
                 assert follower.lag() == 0
                 assert versions_checked >= 3
         finally:
-            service.server.shutdown()
-            thread.join(timeout=10)
+            front.stop_background()
             service.close()
 
 

@@ -1,7 +1,8 @@
 """HTTP-level tests for the live ingest service.
 
-The service is exercised for real: ``serve_forever`` on a background
-thread, requests through ``urllib`` against the ephemeral port.  Covers
+The service is exercised for real: an :class:`IngestCore` mounted on an
+:class:`AsyncHTTPFront` running on a background thread, requests
+through ``urllib`` against the ephemeral port.  Covers
 acknowledgement vs read-your-writes, backpressure shedding, flush, lag
 reporting, per-record rejection visibility, and that the PR-4 query
 endpoints keep answering (against committed versions) while ingest is
@@ -11,7 +12,6 @@ live.
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -19,7 +19,8 @@ import pytest
 
 from repro.core.taxogram import Taxogram, TaxogramOptions
 from repro.graphs.database import GraphDatabase
-from repro.streaming import ApplierOptions, IngestOptions, IngestService
+from repro.serving import AsyncHTTPFront
+from repro.streaming import ApplierOptions, IngestCore, IngestOptions
 from repro.taxonomy.builders import taxonomy_from_parent_names
 
 ADD_ONE = "t # 0\nv 0 b\nv 1 c\ne 0 1 x\n"
@@ -51,22 +52,19 @@ def service(tmp_path):
     Taxogram(
         TaxogramOptions(min_support=0.4, store_out=str(store_dir))
     ).mine(db, taxonomy)
-    service = IngestService(
+    service = IngestCore(
         store_dir,
         tmp_path / "wal",
-        port=0,
         options=IngestOptions(max_lag_records=4, wait_timeout_seconds=60.0),
         applier_options=ApplierOptions(max_latency_seconds=0.02),
     )
     service.start()
-    thread = threading.Thread(target=service.serve_forever, daemon=True)
-    thread.start()
-    host, port = service.address
+    front = AsyncHTTPFront(service.routes())
+    host, port = front.start_background()
     try:
         yield service, f"http://{host}:{port}"
     finally:
-        service.server.shutdown()
-        thread.join(timeout=10)
+        front.stop_background()
         service.close()
 
 
@@ -137,16 +135,14 @@ class TestBackpressure:
         Taxogram(
             TaxogramOptions(min_support=0.4, store_out=str(store_dir))
         ).mine(db, taxonomy)
-        service = IngestService(
+        service = IngestCore(
             store_dir,
             tmp_path / "wal",
-            port=0,
             options=IngestOptions(max_lag_records=2),
         )
         # Applier deliberately NOT started: the backlog can only grow.
-        thread = threading.Thread(target=service.serve_forever, daemon=True)
-        thread.start()
-        host, port = service.address
+        front = AsyncHTTPFront(service.routes())
+        host, port = front.start_background()
         url = f"http://{host}:{port}"
         try:
             assert _request(url, "/ingest", {"add": ADD_ONE})[0] == 202
@@ -162,8 +158,7 @@ class TestBackpressure:
             _, doc, _ = _request(url, "/lag")
             assert doc["lag"] == 2
         finally:
-            service.server.shutdown()
-            thread.join(timeout=10)
+            front.stop_background()
             service.close(drain=False)
 
     def test_flush_clears_backlog(self, service):
@@ -220,16 +215,14 @@ class TestDiskFull:
         Taxogram(
             TaxogramOptions(min_support=0.4, store_out=str(store_dir))
         ).mine(db, taxonomy)
-        service = IngestService(
+        service = IngestCore(
             store_dir,
             tmp_path / "wal",
-            port=0,
             applier_options=ApplierOptions(max_latency_seconds=0.02),
         )
         service.start()
-        thread = threading.Thread(target=service.serve_forever, daemon=True)
-        thread.start()
-        host, port = service.address
+        front = AsyncHTTPFront(service.routes())
+        host, port = front.start_background()
         url = f"http://{host}:{port}"
         try:
             assert _request(url, "/ingest", {"add": ADD_ONE})[0] == 202
@@ -253,6 +246,5 @@ class TestDiskFull:
             )
             assert (status, doc["seq"]) == (200, 1)
         finally:
-            service.server.shutdown()
-            thread.join(timeout=10)
+            front.stop_background()
             service.close(drain=False)

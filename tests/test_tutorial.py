@@ -261,7 +261,6 @@ class TestTutorial:
     def test_step15_replication(self, tmp_path):
         taxonomy, db = _setup()
         import json
-        import threading
         import urllib.request
 
         from repro import StoreReader
@@ -269,30 +268,30 @@ class TestTutorial:
             Follower,
             FollowerOptions,
             LocalReplica,
-            PrimaryService,
+            PrimaryCore,
             QueryRouter,
             StaleReplicasError,
         )
+        from repro.serving import AsyncHTTPFront
         from repro.streaming import ApplierOptions, IngestOptions
 
         store_dir = tmp_path / "pathways.store"
         options = TaxogramOptions(min_support=0.5, store_out=str(store_dir))
         Taxogram(options).mine(db, taxonomy)
 
-        # A publishing primary: the step-14 ingest service plus the
-        # replication surface (manifest / segments / snapshot), signed.
-        primary = PrimaryService(
+        # A publishing primary: the step-14 ingest surface plus the
+        # replication surface (manifest / segments / snapshot), signed,
+        # mounted on one asyncio front.
+        primary = PrimaryCore(
             store_dir,
             tmp_path / "pathways.wal",
             secret="hush",
-            port=0,
             options=IngestOptions(wait_timeout_seconds=60.0),
             applier_options=ApplierOptions(max_latency_seconds=0.02),
         )
         primary.start()
-        thread = threading.Thread(target=primary.serve_forever, daemon=True)
-        thread.start()
-        host, port = primary.address
+        front = AsyncHTTPFront(primary.routes())
+        host, port = front.start_background()
         primary_url = f"http://{host}:{port}"
         try:
             # Ingest one pathway and wait for its batch to commit.
@@ -352,8 +351,7 @@ class TestTutorial:
             finally:
                 router.close()
         finally:
-            primary.server.shutdown()
-            thread.join(timeout=10)
+            front.stop_background()
             primary.close()
 
     def test_step16_loadtest(self, tmp_path):
